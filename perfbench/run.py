@@ -1,12 +1,16 @@
 """Run one benchmark workload and print its metrics as one JSON line.
 
-    python3 perfbench/run.py --workload trees --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload trees --seed 1 --seconds 24 --trace 0
 
 The program is imported from `src/` next to this directory.  A run builds
 the workload's inputs from the seed (the set-up), repeats whole rounds of
-its operations from cold program caches until --seconds of operation time
-have passed, calls the workload's `python -m mgonal.cli` command between
-and after the rounds, and checks the outputs.
+its operations, in one seeded order and from cold program caches, until
+--seconds of operation time and at least two rounds have passed, calls the
+workload's `python -m mgonal.cli` command at even intervals of operation
+time, and checks the outputs.  An operation's latency is its fastest
+round, throughput is a round's operations over the sum of those latencies,
+and cli_s is the fastest call: other work on a shared machine only ever
+adds time.
 
 --trace 0 prints the end-to-end metrics.  --trace 1 times one round
 untraced and the same round traced, calls the CLI in-process under the
@@ -37,9 +41,15 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 RESULTS = HERE / "results"
+# Every round has at least MIN_OPS operations, so that at least ten lie
+# beyond the 90th percentile, and every run at least MIN_ROUNDS rounds, so
+# that each operation is timed more than once.
 MIN_OPS = 100
-# cli_s is the median of this many calls, made one at a time.
-CLI_CALLS = 4
+MIN_ROUNDS = 2
+# The CLI runs once per seconds / CLI_CALLS of operation time, one call at a
+# time; cli_s is the fastest call.  Each workload's command takes under a
+# second, so that many calls fit in a run.
+CLI_CALLS = 15
 CLI_TIMEOUT_S = 120
 
 
@@ -81,24 +91,31 @@ def cache_clearers(package: str = "mgonal") -> list:
     return list(found.values())
 
 
-def run_round(ops, clearers):
-    """One round from cold caches: (outputs, latencies, failures).
+def run_round(ops, order, clearers, digest=None, after_op=None):
+    """One round from cold caches, the operations run in `order` (indices
+    into ops): (outputs, latencies, failures), listed as in ops.
 
     A failing operation is counted and its output recorded as None.
+    `digest(output)`, if given, replaces each output, and `after_op(latency)`
+    runs after each operation, both outside its timing.
     """
     for clear in clearers:
         clear()
     gc.collect()
-    outputs, latencies, failed = [], [], 0
-    for op in ops:
+    outputs, latencies, failed = [None] * len(ops), [0.0] * len(ops), 0
+    for i in order:
         start = time.perf_counter()
         try:
-            out = op()
+            out = ops[i]()
         except Exception as exc:  # counted in `failed`; the run goes on
-            print(f"perfbench: operation {op} failed: {exc!r}", file=sys.stderr)
+            print(f"perfbench: operation {ops[i]} failed: {exc!r}", file=sys.stderr)
             out, failed = None, failed + 1
-        latencies.append(time.perf_counter() - start)
-        outputs.append(out)
+        latencies[i] = time.perf_counter() - start
+        outputs[i] = out if digest is None or out is None else digest(out)
+        # Freed here rather than inside the next operation's time.
+        out = None
+        if after_op is not None:
+            after_op(latencies[i])
     return outputs, latencies, failed
 
 
@@ -144,40 +161,50 @@ E2E_UNITS = {"setup_s": "s", "ops_per_s": "1/s", "op_p50_ms": "ms", "op_p90_ms":
              "cli_s": "s", "peak_rss_mib": "MiB"}
 
 
-def measure(wl, seconds: float, trace: bool):
+def measure(wl, seconds: float, trace: bool, order):
     """The timed phase, the CLI calls and the checks.
 
+    Every round runs the operations in the same `order`, so an operation
+    that misses the program's caches in one round misses them in all.
     Returns (result object without setup_s, tracer or None).  Later rounds
     are compared with the first as soon as they end and then dropped, so
     memory does not grow with the number of rounds.
     """
     import workloads
 
+    if len(wl.ops) < MIN_OPS:
+        raise SystemExit(f"perfbench: {wl.name} has {len(wl.ops)} operations a round, "
+                         f"fewer than {MIN_OPS}")
     chk = workloads.Checker()
     clearers = cache_clearers()
-    first, latencies, failed = run_round(wl.ops, clearers)
-    # Read after the first round: later rounds hold the first round's
-    # outputs for comparison, which would make the peak grow with the
-    # number of rounds.
-    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    calls, op_time = [], 0.0
+
+    def cli_when_due(latency):
+        # One call in the middle of every seconds / CLI_CALLS of operation
+        # time, so that the calls span the run.
+        nonlocal op_time
+        op_time += latency
+        due = (len(calls) + 0.5) * seconds / CLI_CALLS
+        if not trace and len(calls) < CLI_CALLS and op_time >= due:
+            calls.append(run_cli(wl.cli_argv))
+
+    digest = getattr(wl, "digest", None)
+    first, best, failed = run_round(wl.ops, order, clearers, digest, cli_when_due)
     rounds = 1
-    # CLI calls go between rounds, so that their median spans the run.
-    calls = [] if trace else [run_cli(wl.cli_argv)]
-    while not trace and (sum(latencies) < seconds or len(latencies) < MIN_OPS):
-        outputs, lats, fails = run_round(wl.ops, clearers)
+    while not trace and (op_time < seconds or rounds < MIN_ROUNDS):
+        outputs, lats, fails = run_round(wl.ops, order, clearers, digest, cli_when_due)
         chk.eq("repeat_rounds_agree", outputs, first)
-        latencies += lats
+        best = [min(a, b) for a, b in zip(best, lats)]
         failed += fails
         rounds += 1
-        if len(calls) < CLI_CALLS:
-            calls.append(run_cli(wl.cli_argv))
+    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     tracer = None
     if trace:
         tracer = tracing.Tracer()
         tracer.install()
         try:
-            outputs, lats, fails = run_round(wl.ops, clearers)
+            outputs, lats, fails = run_round(wl.ops, order, clearers, digest)
             with tracer.span("cli"):
                 cli_calls = [run_cli_in_process(wl.cli_argv)]
         finally:
@@ -186,16 +213,16 @@ def measure(wl, seconds: float, trace: bool):
         failed += fails
         rounds += 1
         metrics = tracer.metrics()
-        metrics["trace.overhead_pct"] = 100 * (sum(lats) / sum(latencies) - 1)
+        metrics["trace.overhead_pct"] = 100 * (sum(lats) / op_time - 1)
         units = tracing.UNITS
     else:
         calls += [run_cli(wl.cli_argv) for _ in range(CLI_CALLS - len(calls))]
         cli_calls = [(code, stdout) for code, stdout, _ in calls]
         metrics = {
-            "ops_per_s": len(latencies) / sum(latencies),
-            "op_p50_ms": 1000 * statistics.median(latencies),
-            "op_p90_ms": 1000 * percentile(latencies, 90),
-            "cli_s": statistics.median(wall for *_, wall in calls),
+            "ops_per_s": len(wl.ops) / sum(best),
+            "op_p50_ms": 1000 * statistics.median(best),
+            "op_p90_ms": 1000 * percentile(best, 90),
+            "cli_s": min(wall for *_, wall in calls),
             "peak_rss_mib": peak_rss_mib,
         }
         units = E2E_UNITS
@@ -226,8 +253,14 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {args.workload!r}; "
                      f"choose from {sorted(workloads.WORKLOADS)}")
     wl = workloads.WORKLOADS[args.workload](random.Random(args.seed))
+    # One shuffled order spreads cheap and dear operations over the whole
+    # run.  It is the same for every seed: the peak memory depends on which
+    # trees are alive together, and moved by 15% with a seeded order.
+    order = list(range(len(wl.ops)))
+    if getattr(wl, "shuffle", True):
+        random.Random("order").shuffle(order)
     setup_s = since_process_start()
-    result, tracer = measure(wl, args.seconds, bool(args.trace))
+    result, tracer = measure(wl, args.seconds, bool(args.trace), order)
     if not args.trace:
         result["metrics"] = {"setup_s": {"value": setup_s, "unit": "s"}, **result["metrics"]}
 

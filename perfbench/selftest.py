@@ -22,7 +22,8 @@ def main() -> int:
     bad = 0
     for name, cls in workloads.WORKLOADS.items():
         wl = cls(random.Random(1), small=True)
-        outputs, latencies, failed = run.run_round(wl.ops, run.cache_clearers())
+        outputs, latencies, failed = run.run_round(
+            wl.ops, range(len(wl.ops)), run.cache_clearers(), getattr(wl, "digest", None))
         code, stdout, _ = run.run_cli(wl.cli_argv)
 
         def checked(fault=None):

@@ -2,9 +2,10 @@
 
 Each workload is built from a random.Random seeded by --seed.  Building it
 is the set-up; its `ops` are the timed operations of one round, and every
-round repeats the same operations from cold program caches.  `check` runs
-after the timed phase on the first round's outputs, and `check_cli` on the
-workload's one command-line call.
+round repeats the same operations from cold program caches.  An optional
+`digest` turns each output into the plain values that are kept and checked.
+`check` runs after the timed phase on the first round's outputs, and
+`check_cli` on each of the workload's command-line calls.
 
 Operations look up mgonal functions as module attributes at call time
 (`escalator.build_tree`, not a name bound at import), so the traced run's
@@ -78,13 +79,16 @@ def _strata(rng, lo: int, hi: int, k: int) -> list[int]:
 # trees
 
 
-TREE_BOUND = 100_000
-FULL_DEPTH = 12
-SPREAD_DEPTH = 5
+# The full trees for m = 3..14 come out the same at bound 2e4 as at 1e5 (the
+# largest truant is 131) for a fifth of the time, and the depth-5 trees for
+# m in 19..110 (truants below 250) the same at 1e4 for a fifteenth.  Cheap
+# rounds let every run time each tree about ten times.
+FULL_DEPTH, FULL_BOUND = 12, 20_000
+SPREAD_DEPTH, SPREAD_BOUND = 5, 10_000
 
 
-def _tree_op(m: int, depth: int):
-    tree = escalator.build_tree(m, depth, TREE_BOUND)
+def _tree_op(m: int, depth: int, bound: int):
+    tree = escalator.build_tree(m, depth, bound)
     text = escalator.serialize_tree(tree)
     parsed = escalator.deserialize_tree(text)
     return text, tree.gamma_estimate, tree.complete, parsed
@@ -92,32 +96,46 @@ def _tree_op(m: int, depth: int):
 
 class Trees:
     """Full depth-12 trees for m = 3..14 plus depth-5 trees for a seeded
-    spread of m in 15..110, each serialized and parsed back."""
+    spread of m in 19..110, each serialized and parsed back."""
 
     name = "trees"
 
     def __init__(self, rng, small: bool = False):
         full = (3, 4, 5, 6, 8) if small else range(3, 15)
-        # Every m in 15..110 once, plus seeded m from 41..110, where depth-5
-        # trees are cheap.  The 90th percentile then falls on depth-5 trees
-        # for m in 21..27, which take the same time, for every seed; with
-        # the seed choosing which small m come twice it jumped between runs.
+        # Every m in 19..110 plus 46 seeded m from 41..110, where depth-5
+        # trees take nearly the same time: 150 trees a round.  Above the
+        # 90th percentile lie the full trees for m >= 4 and the operations
+        # that follow the largest trees; with m = 15..18 (depth-5 trees that
+        # take 10-17 ms) it fell on the edge of those, and moved with each
+        # slow spell.  Now it and the median fall among depth-5 trees whose
+        # times change smoothly with m.
         if small:
-            spread = _strata(rng, 15, 110, 3)
+            spread = _strata(rng, 19, 110, 3)
         else:
-            spread = list(range(15, 111)) + _strata(rng, 41, 110, 54)
-        self.inputs = [(m, FULL_DEPTH) for m in full] + [(m, SPREAD_DEPTH) for m in spread]
-        self.ops = [partial(_tree_op, m, d) for m, d in self.inputs]
+            spread = list(range(19, 111)) + _strata(rng, 41, 110, 46)
+        self.inputs = [(m, FULL_DEPTH, FULL_BOUND) for m in full]
+        self.inputs += [(m, SPREAD_DEPTH, SPREAD_BOUND) for m in spread]
+        self.ops = [partial(_tree_op, *args) for args in self.inputs]
         self.cli_m = 8 if small else 13
-        self.cli_argv = ["gamma", "--m", str(self.cli_m)]
+        self.cli_argv = ["gamma", "--m", str(self.cli_m), "--bound", str(FULL_BOUND)]
         self.full_gamma: dict[int, int] = {}
+
+    @staticmethod
+    def digest(out):
+        """The parsed tree as strings and numbers, which the garbage
+        collector does not traverse: a round's outputs held as trees made
+        every later full collection, and the operation it fell in, slower
+        round after round."""
+        text, gamma, complete, parsed = out
+        return (text, gamma, complete,
+                escalator.serialize_tree(parsed), parsed.gamma_estimate, parsed.complete)
 
     def check(self, outputs, chk: Checker) -> None:
         full_nodes = {}
-        for (m, depth), out in zip(self.inputs, outputs):
+        for (m, depth, _), out in zip(self.inputs, outputs):
             if out is None:
                 continue
-            text, gamma, complete, parsed = out
+            text, gamma, complete, reserialized, parsed_gamma, parsed_complete = out
             doc = json.loads(text)
             nodes = doc["nodes"]
             self._check_nodes(m, nodes, chk)
@@ -125,9 +143,9 @@ class Trees:
             chk.eq("trees.gamma_is_max_truant", gamma, max(truants))
             frontier_open = any(n["truant"] != "universal" and not n["children"] for n in nodes)
             chk.eq("trees.complete_flag", complete, not frontier_open)
-            chk.eq("trees.roundtrip_bytes", escalator.serialize_tree(parsed), text)
-            chk.eq("trees.roundtrip_gamma", parsed.gamma_estimate, gamma)
-            chk.eq("trees.roundtrip_complete", parsed.complete, complete)
+            chk.eq("trees.roundtrip_bytes", reserialized, text)
+            chk.eq("trees.roundtrip_gamma", parsed_gamma, gamma)
+            chk.eq("trees.roundtrip_complete", parsed_complete, complete)
             if depth == FULL_DEPTH:
                 chk.eq("trees.full_tree_complete", complete, True)
                 full_nodes[m] = nodes
@@ -199,7 +217,7 @@ DENSITY_SLOTS = (
 # Tiny moduli on which the oracle is also checked by visiting every residue.
 BRUTE_MODULI = ((2, 3), (3, 2), (5, 1), (7, 1))
 DENSITY_CLI_GRAM = (1, 1, 1, 2, 3, 5)
-DENSITY_CLI_H = (8, 24, 40, 56, 72, 88)
+DENSITY_CLI_H = (8, 24, 88)
 
 
 def _draw_gram(rng, rank: int, valuations) -> tuple[int, ...]:
@@ -234,6 +252,11 @@ class Densities:
                 for u in rng.sample(TARGET_UNITS, TARGETS_PER_PRIME):
                     self.inputs.append((p, gram, jd, 8 * u))
         self.ops = [partial(_density_op, *args) for args in self.inputs]
+        # The targets of one (lattice, p) run one after another, so the
+        # first misses the oracle's caches and the rest hit them; shuffled,
+        # the 64-entry cache of packed distributions evicted entries between
+        # them and most operations missed.
+        self.shuffle = False
         self.cli_argv = [
             "density", "--gram", ",".join(map(str, DENSITY_CLI_GRAM)),
             "--p", ",".join(map(str, PRIMES)),
@@ -272,7 +295,7 @@ TRIANGULAR_FORM = polygonal.PolygonalForm(3, (1, 1, 1, 1))
 SHIFTED_MS = (5, 7, 12)
 MEMBERSHIP_BOUND = 50_000
 GUY_BOUND = 100_000
-CLI_GUY = (30, 26, 400_000)
+CLI_GUY = (30, 26, 100_000)
 
 
 def _four_squares_op(h: int) -> int:
