@@ -118,7 +118,7 @@ def _cmd_tree(args, parser: argparse.ArgumentParser) -> int:
     )
     print(
         f"tree m={args.m} depth={args.depth} bound={args.bound}: "
-        f"nodes={tree.node_count} depth{args.depth}_nodes={frontier} leaves={leaves} "
+        f"nodes={len(tree.nodes)} depth{args.depth}_nodes={frontier} leaves={leaves} "
         f"max_truant={tree.gamma_estimate} internal_max_truant={internal_max} "
         f"complete={str(tree.complete).lower()}"
     )
@@ -135,7 +135,7 @@ def _cmd_gamma(args, parser: argparse.ArgumentParser) -> int:
     if tree.complete:
         print(
             f"gamma_{args.m} = {value} (empirical for bound {args.bound}; "
-            f"{tree.node_count} nodes, every frontier form universal up to the bound)"
+            f"{len(tree.nodes)} nodes, every frontier form universal up to the bound)"
         )
     else:
         print(
@@ -171,10 +171,8 @@ def _cmd_density(args, parser: argparse.ArgumentParser) -> int:
             if X.N % p == 0 or args.no_oracle:
                 reference, passed = None, True
             else:
-                t = localdensity.stabilization_threshold(p, X.gram, h)
-                oracle = localdensity.siegel_count_density(p, X.gram, h, t, c=X.c, N=X.N)
+                oracle, passed = localdensity._oracle_check(X, h, p, result.value)
                 reference = oracle.value
-                passed = bool(oracle.stabilized and oracle.value == result.value)
             failed = failed or not passed
             rows.append(
                 localdensity.ConformanceRow(

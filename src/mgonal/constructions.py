@@ -18,8 +18,6 @@ these are the classic lower-bound witnesses for gamma.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .polygonal import PolygonalForm, represented_set
@@ -56,7 +54,7 @@ def guy_form(m: int, ell: int) -> GuyForm:
 def verify_guy(gf: GuyForm, bound: int = DEFAULT_GUY_BOUND) -> GuyReport:
     """Check the represented set on [0, bound] misses exactly {ell}."""
     rep = represented_set(gf.form, bound)
-    missing = tuple(k for k in range(bound + 1) if k not in rep)
+    missing = tuple(rep.missing())
     return GuyReport(gf.m, gf.ell, bound, missing, missing == (gf.ell,))
 
 
@@ -71,34 +69,15 @@ def lower_bound_witness(m: int, ell: int) -> bool:
     return ell not in represented_set(form, ell)
 
 
-def worker_count() -> int:
-    """Parallelism cap from MGONAL_THREADS (default 1 = serial)."""
-    raw = os.environ.get("MGONAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _verify_pair(args: tuple[int, int, int]) -> GuyReport:
-    m, ell, bound = args
-    return verify_guy(guy_form(m, ell), bound)
-
-
 def verify_guy_grid(
     m_lo: int, m_hi: int, bound: int = DEFAULT_GUY_BOUND
 ) -> list[GuyReport]:
-    """Verify the whole (m, ell) grid for m in [m_lo, m_hi].
-
-    Work is independent per pair; with MGONAL_THREADS > 1 it runs in a
-    process pool, and results are returned in grid order either way.
-    """
-    pairs = [(m, ell, bound) for m in range(m_lo, m_hi + 1) for ell in range(1, m - 3)]
-    workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_verify_pair, pairs))
-    return [_verify_pair(p) for p in pairs]
+    """Verify the whole (m, ell) grid for m in [m_lo, m_hi], in grid order."""
+    return [
+        verify_guy(guy_form(m, ell), bound)
+        for m in range(m_lo, m_hi + 1)
+        for ell in range(1, m - 3)
+    ]
 
 
 def guy_report_csv(reports: list[GuyReport]) -> str:

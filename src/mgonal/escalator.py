@@ -2,12 +2,13 @@
 
 The root is the empty form, whose truant (smallest unrepresented positive
 integer) is 1.  A node with truant t and last coefficient a_n has one child
-per coefficient a_{n+1} in [a_n, t] for which the extended form represents
-t; children of any form that misses t would still miss it for coefficients
-above t, which is why the range is capped at the truant.  The maximum
-truant over a fully built tree is the empirical gamma-value for m: every
-universal form's coefficients dominate some path, so every truant is a
-certificate that universal forms must represent it.
+for every coefficient a_{n+1} in [a_n, t]: each such extension represents t
+as (t - a_{n+1}) + a_{n+1} * P_m(1), because P_m(1) = 1 and t - a_{n+1} < t
+is already represented.  A coefficient above t cannot help, since its
+nonzero multiples all exceed t, which is why the range is capped at the
+truant.  The maximum truant over a fully built tree is the empirical
+gamma-value for m: every universal form's coefficients dominate some path,
+so every truant is a certificate that universal forms must represent it.
 
 Trees are bounded twice over: representation testing is relative to a bound
 B (so "universal" leaves are B-universal, an empirical flag), and expansion
@@ -54,26 +55,21 @@ class EscalatorTree:
     max_depth: int
     root: EscalatorNode
     nodes: list[EscalatorNode]  # breadth-first order
-    node_count: int
-    gamma_estimate: int
+    gamma_estimate: int  # largest truant; only a lower bound unless complete
     complete: bool
 
 
-def escalate(node: EscalatorNode, bound: int) -> list[PolygonalForm]:
+def escalate(node: EscalatorNode) -> list[PolygonalForm]:
     """All one-coefficient extensions of node's form that represent its truant.
 
-    Candidate coefficients run from the last coefficient (or 1 for the empty
-    form) up to the truant, in ascending order.
+    Coefficients run from the last coefficient (or 1 for the empty form) up
+    to the truant, in ascending order.
     """
     if node.truant is None:
         raise ValueError("cannot escalate a universal node (no truant)")
-    rep = represented_set(node.form, bound)
     lo = node.form.coeffs[-1] if node.form.coeffs else 1
-    out = []
-    for k in range(lo, node.truant + 1):
-        if node.truant in extend_set(rep, node.form.m, k):
-            out.append(node.form.extend(k))
-    return out
+    # Each k in [lo, t] represents t as (t - k) + k * P_m(1), with P_m(1) = 1.
+    return [node.form.extend(k) for k in range(lo, node.truant + 1)]
 
 
 def build_tree(
@@ -93,6 +89,8 @@ def build_tree(
     """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     if on_cap not in ("error", "truncate"):
         raise ValueError(f"on_cap must be 'error' or 'truncate', got {on_cap!r}")
     root_form = PolygonalForm(m, ())
@@ -105,12 +103,7 @@ def build_tree(
         node, rep = queue.popleft()
         if capped or node.truant is None or node.depth >= max_depth:
             continue
-        t = node.truant
-        lo = node.form.coeffs[-1] if node.form.coeffs else 1
-        for k in range(lo, t + 1):
-            child_rep = extend_set(rep, m, k)
-            if t not in child_rep:
-                continue
+        for form in escalate(node):
             if len(nodes) >= node_cap:
                 if on_cap == "error":
                     raise ResourceCapError(
@@ -118,22 +111,23 @@ def build_tree(
                     )
                 capped = True
                 break
-            child = EscalatorNode(node.form.extend(k), child_rep.truant(), node.depth + 1)
+            child_rep = extend_set(rep, m, form.coeffs[-1])
+            child = EscalatorNode(form, child_rep.truant(), node.depth + 1)
             node.children.append(child)
             nodes.append(child)
             queue.append((child, child_rep))
+    return _finish(m, bound, max_depth, nodes)
+
+
+def _finish(
+    m: int, bound: int, max_depth: int, nodes: list[EscalatorNode]
+) -> EscalatorTree:
+    """The tree over nodes (breadth-first, root first) with its largest truant
+    and whether every node without children is B-universal.  The root's
+    truant, 1, keeps the maximum defined."""
     gamma = max(n.truant for n in nodes if n.truant is not None)
     complete = all(n.truant is None or n.children for n in nodes)
-    return EscalatorTree(m, bound, max_depth, root, nodes, len(nodes), gamma, complete)
-
-
-def gamma_estimate(tree: EscalatorTree) -> int:
-    """Largest truant over the tree.
-
-    An empirical gamma value when the tree is complete; otherwise only a
-    lower bound for it.
-    """
-    return tree.gamma_estimate
+    return EscalatorTree(m, bound, max_depth, nodes[0], nodes, gamma, complete)
 
 
 def min_leaf_depth(tree: EscalatorTree) -> int | None:
@@ -183,13 +177,14 @@ def _require_int(value, path: str, minimum: int) -> int:
 def deserialize_tree(text: str) -> EscalatorTree:
     """Parse a tree document produced by serialize_tree.
 
-    Validation is structural (field types, sorted canonical node order,
-    parent/child coefficient linkage, reachability); semantic facts such as
-    truant correctness are the builder's job, not the parser's.
+    Validation is structural (field types, truants within the bound, sorted
+    canonical node order, parent/child coefficient linkage, reachability);
+    semantic facts such as truant correctness are the builder's job, not the
+    parser's.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too-long integers, deep nesting
         raise _parse_error("document", f"invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise _parse_error("document", "expected a JSON object")
@@ -229,9 +224,13 @@ def deserialize_tree(text: str) -> EscalatorTree:
         prev_coeffs = coeffs
         raw_truant = raw["truant"]
         if raw_truant == _UNIVERSAL:
+            if not coeffs:
+                raise _parse_error(f"{path}.truant", "the empty form represents only 0")
             node_truant: int | None = None
         else:
             node_truant = _require_int(raw_truant, f"{path}.truant", 1)
+            if node_truant > bound:
+                raise _parse_error(f"{path}.truant", f"truant exceeds bound {bound}")
         raw_children = raw["children"]
         if not isinstance(raw_children, list):
             raise _parse_error(f"{path}.children", "expected an array")
@@ -239,6 +238,8 @@ def deserialize_tree(text: str) -> EscalatorTree:
             _require_int(k, f"{path}.children[{j}]", 0)
             for j, k in enumerate(raw_children)
         ]
+        if len(set(kids)) != len(kids):
+            raise _parse_error(f"{path}.children", "duplicate child index")
         if node_truant is None and kids:
             raise _parse_error(f"{path}.children", "universal nodes have no children")
         parsed.append(EscalatorNode(PolygonalForm(m, coeffs), node_truant, len(coeffs)))
@@ -251,7 +252,8 @@ def deserialize_tree(text: str) -> EscalatorTree:
             if k >= len(parsed):
                 raise _parse_error(path, "index out of range")
             child = parsed[k]
-            if child.form.coeffs[:-1] != parent.form.coeffs:
+            extends = child.form.n == parent.form.n + 1
+            if not extends or child.form.coeffs[:-1] != parent.form.coeffs:
                 raise _parse_error(path, "child does not extend parent by one coefficient")
             last = child.form.coeffs[-1]
             floor = parent.form.coeffs[-1] if parent.form.coeffs else 1
@@ -271,6 +273,4 @@ def deserialize_tree(text: str) -> EscalatorTree:
         queue.extend(node.children)
     if len(bfs) != len(parsed):
         raise _parse_error("nodes", "some nodes are unreachable from the root")
-    gamma = max(n.truant for n in bfs if n.truant is not None)
-    complete = all(n.truant is None or n.children for n in bfs)
-    return EscalatorTree(m, bound, max_depth, root, bfs, len(bfs), gamma, complete)
+    return _finish(m, bound, max_depth, bfs)

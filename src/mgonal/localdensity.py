@@ -371,6 +371,8 @@ def stabilization_threshold(p: int, gram: tuple[int, ...], h: Fraction | int) ->
     """Modulus exponent past which the count ratio is provably constant:
     2 * ord_p(2 * det) + ord_p(h) + 1."""
     h = Fraction(h)
+    if h <= 0:
+        raise ValueError("target must be positive")
     det_ord = (1 if p == 2 else 0) + sum(_valuation(a, p) for a in gram)
     return 2 * det_ord + frac_valuation(h, p) + 1
 
@@ -462,9 +464,9 @@ def siegel_count_density(
     if not gram:
         raise ValueError("gram must be nonempty")
     h = Fraction(h)
-    if h < 0:
-        raise ValueError("target must be nonnegative")
-    if h != 0 and frac_valuation(h, p) < 0:
+    if h <= 0:
+        raise ValueError("target must be positive")
+    if frac_valuation(h, p) < 0:
         raise ValueError("target must be a p-adic integer")
     vals = [_residue_count_density(p, tt, gram, h, modulus_cap) for tt in (t, t + 1, t + 2)]
     return Density(vals[0], "oracle", t=t, stabilized=vals[0] == vals[1] == vals[2])
@@ -501,14 +503,23 @@ def local_density(
     jd = jordan_decompose(p, X.gram)
     result = yang_density_two(jd, h) if p == 2 else yang_density_odd(jd, h)
     if check_oracle:
-        t = stabilization_threshold(p, X.gram, h)
-        oracle = siegel_count_density(p, X.gram, h, t, c=X.c, N=X.N)
-        if not oracle.stabilized or oracle.value != result.value:
+        oracle, passed = _oracle_check(X, h, p, result.value)
+        if not passed:
             raise InternalConsistencyError(
                 f"formula {result.value} vs oracle {oracle.value} "
                 f"(stabilized={oracle.stabilized}) at p={p}, h={h}, gram={X.gram}"
             )
     return result
+
+
+def _oracle_check(
+    X: ShiftedDiagonalLattice, h: Fraction, p: int, value: Fraction
+) -> tuple[Density, bool]:
+    """Formula value versus the counting oracle at the stabilization
+    threshold: the oracle's Density and whether it stabilized at value."""
+    t = stabilization_threshold(p, X.gram, h)
+    oracle = siegel_count_density(p, X.gram, h, t, c=X.c, N=X.N)
+    return oracle, bool(oracle.stabilized and oracle.value == value)
 
 
 # ---------------------------------------------------------------------------

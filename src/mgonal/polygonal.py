@@ -83,7 +83,7 @@ class PolygonalForm:
         if not isinstance(self.coeffs, tuple):
             object.__setattr__(self, "coeffs", tuple(self.coeffs))
         for a in self.coeffs:
-            if not isinstance(a, int) or a < 1:
+            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise ValueError(f"coefficients must be positive integers, got {a!r}")
         if any(a > b for a, b in zip(self.coeffs, self.coeffs[1:])):
             raise ValueError("coefficients must be sorted ascending")
@@ -121,19 +121,32 @@ class RepresentationSet:
     def __contains__(self, k: int) -> bool:
         return 0 <= k <= self.bound and (self.bits >> k) & 1 == 1
 
+    def _missing_bits(self) -> int:
+        return ~self.bits & ((1 << (self.bound + 1)) - 1)
+
     def truant(self) -> int | None:
         """Smallest k in [1, bound] not represented, or None if there is none."""
-        mask = (1 << (self.bound + 1)) - 1
-        missing = ~self.bits & mask
+        missing = self._missing_bits()
         if missing == 0:
             return None
         return (missing & -missing).bit_length() - 1
 
     def values(self) -> list[int]:
-        return [k for k in range(self.bound + 1) if (self.bits >> k) & 1]
+        """Represented integers in [0, bound], ascending."""
+        return _bit_positions(self.bits)
+
+    def missing(self) -> list[int]:
+        """Integers in [0, bound] that are not represented, ascending."""
+        return _bit_positions(self._missing_bits())
 
     def count(self) -> int:
         return self.bits.bit_count()
+
+
+def _bit_positions(x: int) -> list[int]:
+    """Positions of the set bits of x >= 0, ascending, in one pass over its
+    binary digits (testing each bit by a shift would be quadratic)."""
+    return [k for k, digit in enumerate(bin(x)[:1:-1]) if digit == "1"]
 
 
 def _fold(bits: int, mask: int, m: int, coeff: int, bound: int) -> int:

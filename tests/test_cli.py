@@ -25,7 +25,7 @@ def test_tree_writes_a_loadable_document(tmp_path, capsys):
     assert main(["tree", "--m", "3", "--depth", "8", "--bound", "2000",
                  "--out", str(out)]) == 0
     tree = deserialize_tree(out.read_text())
-    assert tree.node_count == 18
+    assert len(tree.nodes) == 18
     assert tree.gamma_estimate == 8
     summary = capsys.readouterr().out
     assert "nodes=18" in summary

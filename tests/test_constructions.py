@@ -10,7 +10,6 @@ from mgonal import (
     verify_guy,
     verify_guy_grid,
 )
-from mgonal.constructions import worker_count
 
 
 def test_guy_form_coefficient_pattern():
@@ -59,25 +58,6 @@ def test_grid_runs_serially_by_default():
     assert len(reports) == 2 + 3 + 4
     assert all(r.passed for r in reports)
     assert [(r.m, r.ell) for r in reports[:3]] == [(6, 1), (6, 2), (7, 1)]
-
-
-def test_grid_with_process_pool_matches_serial(monkeypatch):
-    serial = verify_guy_grid(6, 7, 300)
-    monkeypatch.setenv("MGONAL_THREADS", "2")
-    assert worker_count() == 2
-    pooled = verify_guy_grid(6, 7, 300)
-    assert pooled == serial
-
-
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("MGONAL_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("MGONAL_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("MGONAL_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("MGONAL_THREADS", "lots")
-    assert worker_count() == 1
 
 
 def test_guy_report_csv_golden():

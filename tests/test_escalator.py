@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive_oracles as ref
 from mgonal import (
@@ -12,7 +14,6 @@ from mgonal import (
     build_tree,
     deserialize_tree,
     escalate,
-    gamma_estimate,
     min_leaf_depth,
     represented_set,
     serialize_tree,
@@ -26,9 +27,8 @@ from mgonal.escalator import EscalatorNode
 def test_triangular_tree_is_the_known_one():
     tree = build_tree(3, max_depth=8, bound=2000)
     assert tree.complete
-    assert tree.node_count == 18
+    assert len(tree.nodes) == 18
     assert tree.gamma_estimate == 8
-    assert gamma_estimate(tree) == 8
     assert min_leaf_depth(tree) == 3
 
 
@@ -40,7 +40,7 @@ def test_hexagonal_tree_matches_triangular_gamma():
 
 def test_root_is_the_empty_form_with_truant_one():
     tree = build_tree(5, max_depth=0, bound=100)
-    assert tree.node_count == 1
+    assert len(tree.nodes) == 1
     assert tree.root.form.coeffs == ()
     assert tree.root.truant == 1
     assert tree.gamma_estimate == 1
@@ -49,13 +49,13 @@ def test_root_is_the_empty_form_with_truant_one():
 
 def test_escalating_the_root_gives_the_unit_coefficient():
     tree = build_tree(7, max_depth=0, bound=100)
-    assert [f.coeffs for f in escalate(tree.root, 100)] == [(1,)]
+    assert [f.coeffs for f in escalate(tree.root)] == [(1,)]
 
 
 def test_escalating_a_universal_node_is_an_error():
     node = EscalatorNode(PolygonalForm.of(3, 1, 1, 1), None, 3)
     with pytest.raises(ValueError):
-        escalate(node, 100)
+        escalate(node)
 
 
 def test_children_satisfy_the_escalation_contract():
@@ -65,17 +65,14 @@ def test_children_satisfy_the_escalation_contract():
         if node.truant is None or node.depth >= 2:
             continue
         assert node.children, "non-universal internal node must have children"
-        last_coeffs = [ch.form.coeffs[-1] for ch in node.children]
-        assert last_coeffs == sorted(last_coeffs)
+        # every k in [lo, t] is a child, in ascending order: each represents
+        # t as (t - k) + k * P_m(1), and P_m(1) = 1
         lo = node.form.coeffs[-1] if node.form.coeffs else 1
+        last_coeffs = [ch.form.coeffs[-1] for ch in node.children]
+        assert last_coeffs == list(range(lo, node.truant + 1))
         for ch in node.children:
-            k = ch.form.coeffs[-1]
-            assert lo <= k <= node.truant
             assert node.truant in represented_set(ch.form, bound)
             assert ch.truant is None or ch.truant > node.truant
-        # the coefficient equal to the truant always works (one new variable
-        # set to index 1 contributes exactly truant), so it must be present
-        assert last_coeffs[-1] == node.truant
 
 
 def test_nodes_are_breadth_first():
@@ -93,7 +90,7 @@ def test_node_cap_error_and_truncate():
     with pytest.raises(ResourceCapError):
         build_tree(3, max_depth=5, bound=2000, node_cap=5)
     tree = build_tree(3, max_depth=5, bound=2000, node_cap=5, on_cap="truncate")
-    assert tree.node_count <= 5
+    assert len(tree.nodes) <= 5
     assert not tree.complete
 
 
@@ -102,6 +99,8 @@ def test_on_cap_value_is_validated():
         build_tree(3, max_depth=2, bound=100, on_cap="ignore")
     with pytest.raises(ValueError):
         build_tree(3, max_depth=-1, bound=100)
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        build_tree(3, max_depth=2, bound=0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def test_serialize_round_trip_preserves_everything():
     assert back.m == tree.m
     assert back.bound == tree.bound
     assert back.max_depth == tree.max_depth
-    assert back.node_count == tree.node_count
+    assert len(back.nodes) == len(tree.nodes)
     assert back.gamma_estimate == tree.gamma_estimate
     assert back.complete == tree.complete
     assert {n.form.coeffs: n.truant for n in back.nodes} == {
@@ -174,8 +173,10 @@ def expect_parse_error(doc, match):
 
 
 def test_parse_rejects_invalid_json():
-    with pytest.raises(TreeParseError, match="invalid JSON"):
-        deserialize_tree("{nope")
+    # also JSON that the json module cannot decode: too deep, too long an integer
+    for text in ("{nope", "[" * 100_000, '{"m": ' + "9" * 5000 + "}"):
+        with pytest.raises(TreeParseError, match="invalid JSON"):
+            deserialize_tree(text)
 
 
 def test_parse_rejects_non_object():
@@ -241,6 +242,30 @@ def test_parse_rejects_child_index_out_of_range():
     expect_parse_error(doc, "index out of range")
 
 
+def test_parse_rejects_root_listed_as_its_own_child():
+    doc = valid_doc()
+    doc["nodes"][0]["children"].append(0)
+    expect_parse_error(doc, "does not extend parent")
+
+
+def test_parse_rejects_duplicate_child_index():
+    doc = valid_doc()
+    doc["nodes"][0]["children"].append(doc["nodes"][0]["children"][0])
+    expect_parse_error(doc, "duplicate child index")
+
+
+def test_parse_rejects_universal_root():
+    doc = {"m": 3, "bound": 10, "max_depth": 1,
+           "nodes": [{"coeffs": [], "truant": "universal", "children": []}]}
+    expect_parse_error(doc, r"nodes\[0\]\.truant: the empty form represents only 0")
+
+
+def test_parse_rejects_truant_above_bound():
+    doc = valid_doc()
+    doc["nodes"][-1]["truant"] = doc["bound"] + 1
+    expect_parse_error(doc, "truant exceeds bound")
+
+
 def test_parse_rejects_child_that_does_not_extend_parent():
     doc = valid_doc()
     root_pos = next(i for i, n in enumerate(doc["nodes"]) if n["coeffs"] == [])
@@ -280,3 +305,85 @@ def test_parse_rejects_unreachable_nodes():
             node["children"] = node["children"][:-1]
             break
     expect_parse_error(doc, "unreachable")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the parser
+
+_SMALL = st.integers(-1, 6)
+
+
+@st.composite
+def tree_shaped_documents(draw):
+    """Documents grown like trees, so that many parse, then maybe broken:
+    a child index appended to some node, and a field set to a small integer
+    or a random list."""
+    max_depth = draw(st.integers(0, 3))
+    coeffs = [()]
+    for _ in range(draw(st.integers(0, 8))):
+        parent = draw(st.sampled_from(coeffs))
+        lo = parent[-1] if parent else 1
+        child = parent + (draw(st.integers(lo, lo + 2)),)
+        if len(child) <= max_depth and child not in coeffs:
+            coeffs.append(child)
+    coeffs.sort()
+    kids = {c: [i for i, d in enumerate(coeffs) if d[:-1] == c and d] for c in coeffs}
+    nodes = []
+    for c in coeffs:
+        children = draw(st.permutations(kids[c]))
+        reach = max((coeffs[i][-1] for i in children), default=1)
+        leaf_truant = st.just("universal") if c else st.integers(1, 2)
+        truant = draw(st.integers(reach, reach + 2)) if children else draw(leaf_truant)
+        nodes.append({"coeffs": list(c), "truant": truant, "children": children})
+    truants = [n["truant"] for n in nodes if n["truant"] != "universal"]
+    doc = {"m": draw(st.integers(3, 5)), "bound": max(truants) + draw(st.integers(0, 2)),
+           "max_depth": max_depth, "nodes": nodes}
+    if draw(st.booleans()):
+        node = draw(st.sampled_from(nodes))
+        node["children"].append(draw(st.integers(0, len(nodes) - 1)))
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([doc, *nodes]))
+        key = draw(st.sampled_from(sorted(target)))
+        target[key] = draw(_SMALL | st.lists(_SMALL, max_size=3))
+    return doc
+
+
+_NODE = st.fixed_dictionaries({
+    "coeffs": st.lists(st.integers(0, 3), max_size=3),
+    "truant": st.one_of(st.just("universal"), st.integers(0, 5)),
+    "children": st.lists(st.integers(0, 6), max_size=4),
+})
+_DOCUMENTS = tree_shaped_documents() | st.fixed_dictionaries({
+    "m": st.integers(2, 5),
+    "bound": st.integers(0, 6),
+    "max_depth": st.integers(0, 3),
+    "nodes": st.lists(_NODE, max_size=7),
+})
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def parses_canonically_or_is_rejected(text):
+    try:
+        tree = deserialize_tree(text)
+    except TreeParseError:
+        return False
+    first = serialize_tree(tree)
+    assert serialize_tree(deserialize_tree(first)) == first
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCUMENTS, st.booleans())
+def test_parser_fuzz_structured_documents(doc, pretty):
+    # whitespace and child order are not part of the canonical form
+    parses_canonically_or_is_rejected(json.dumps(doc, indent=1 if pretty else None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON | st.text())
+def test_parser_fuzz_arbitrary_json(value):
+    parses_canonically_or_is_rejected(value if isinstance(value, str) else json.dumps(value))

@@ -166,14 +166,15 @@ def test_yang_input_validation():
 @pytest.mark.parametrize(
     "p,t,gram,targets",
     [
-        (3, 1, (1, 1, 2), (0, 1, 2)),
-        (3, 2, (2, 5), (0, 1, 4, Fraction(1, 5))),
-        (2, 2, (1, 3), (0, 1, 2, 3)),
+        (3, 1, (1, 1, 2), (3, 1, 2)),
+        (3, 2, (2, 5), (9, 1, 4, Fraction(1, 5))),
+        (2, 2, (1, 3), (4, 1, 2, 3)),
         (2, 3, (1, 2, 3, 4), (1, 5, 8)),
-        (5, 1, (1, 2, 3), (0, 2, 4)),
+        (5, 1, (1, 2, 3), (5, 2, 4)),
     ],
 )
 def test_oracle_matches_naive_residue_counting(p, t, gram, targets):
+    # the target p**t reaches residue class 0 mod p**t; h = 0 itself is rejected
     for h in targets:
         fast = siegel_count_density(p, gram, h, t).value
         assert fast == ref.residue_density(p, t, gram, h)
@@ -203,6 +204,10 @@ def test_oracle_input_validation():
         siegel_count_density(3, (1, 1), 1, 0)
     with pytest.raises(ValueError):
         siegel_count_density(3, (1, 1), -1, 1)
+    with pytest.raises(ValueError, match="target must be positive"):
+        siegel_count_density(3, (1, 1), 0, 1)
+    with pytest.raises(ValueError, match="target must be positive"):
+        stabilization_threshold(3, (1, 1), 0)
     with pytest.raises(ValueError):
         siegel_count_density(3, (1, 1), Fraction(1, 3), 1)
     with pytest.raises(ValueError):

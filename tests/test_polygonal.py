@@ -106,6 +106,8 @@ def test_form_rejects_bad_coefficients():
         PolygonalForm(5, (0,))
     with pytest.raises(ValueError):
         PolygonalForm(2, (1,))
+    with pytest.raises(ValueError):
+        PolygonalForm(3, (True,))
 
 
 def test_extend_appends_and_keeps_sortedness():
@@ -123,6 +125,7 @@ def test_extend_appends_and_keeps_sortedness():
 def test_two_triangulars_frozen_set():
     rep = represented_set(PolygonalForm.of(3, 1, 1), 8)
     assert rep.values() == [0, 1, 2, 3, 4, 6, 7]
+    assert rep.missing() == [5, 8]
     assert rep.truant() == 5
     assert 4 in rep and 5 not in rep
     assert rep.count() == 7
@@ -156,6 +159,7 @@ def test_represented_set_matches_naive(m, coeffs, bound):
     form = PolygonalForm.of(m, *coeffs)
     rep = represented_set(form, bound)
     assert set(rep.values()) == ref.represented(m, form.coeffs, bound)
+    assert rep.missing() == sorted(set(range(bound + 1)) - set(rep.values()))
     assert rep.truant() == ref.naive_truant(m, form.coeffs, bound)
 
 
@@ -195,5 +199,6 @@ def test_truant_requires_positive_bound():
 def test_representation_set_is_a_plain_value():
     rep = RepresentationSet(4, 0b10011)
     assert rep.values() == [0, 1, 4]
+    assert rep.missing() == [2, 3]
     assert rep.truant() == 2
     assert rep.count() == 3
