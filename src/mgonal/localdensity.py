@@ -8,9 +8,9 @@ Two independent routes are kept deliberately separate:
   of signed prime powers.  Everything is exact rational arithmetic.
 
 * a counting oracle: the density is the stabilized value of
-  #{x mod p^t : q(x) = h mod p^t} / p^((n-1)*t).  Counts are computed by
-  cyclic convolution of per-coordinate square distributions, done exactly
-  by packing count vectors into big integers (one multiply per coordinate).
+  #{x mod p^t : q(x) = h mod p^t} / p^((n-1)*t).  As x -> s*x shows, the
+  count at v is unchanged when v is scaled by a unit square s^2, so counts
+  are convolved class by class through tables built by visiting residues.
 
 The twain meet only in tests and in explicit cross-check flags; neither
 route falls back to the other.
@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add
 
 from .errors import InternalConsistencyError, ResourceCapError, WrongDispatchError
 from .lattice import ShiftedDiagonalLattice, admissible
@@ -377,59 +380,70 @@ def stabilization_threshold(p: int, gram: tuple[int, ...], h: Fraction | int) ->
     return 2 * det_ord + frac_valuation(h, p) + 1
 
 
-@lru_cache(maxsize=512)
-def _coordinate_distribution(p: int, t: int, a_mod: int) -> tuple[int, ...]:
-    M = p**t
-    counts = [0] * M
-    for x in range(M):
-        counts[a_mod * x * x % M] += 1
-    return tuple(counts)
+def _square_class(v: int, p: int, t: int) -> tuple[int, int]:
+    """Orbit of v mod p^t under multiplication by unit squares: (ord_p v,
+    Legendre symbol of the unit part), or for p = 2 (ord_2 v, unit part mod
+    2^min(3, t - ord_2 v)); (t, 0) for v = 0."""
+    if v == 0:
+        return (t, 0)
+    k = _valuation(v, p)
+    return (k, v // 2**k % 2 ** min(3, t - k) if p == 2 else _legendre(v // p**k, p))
 
 
 @lru_cache(maxsize=64)
-def _packed_distribution(p: int, t: int, gram_mod: tuple[int, ...]) -> tuple[int, int]:
-    """Counts of sum(a_j x_j^2) = v mod p^t for all v at once, as a packed
-    big integer with fixed-width slots (exact cyclic convolution via one
-    multiplication per coordinate).
-
-    Returns (packed, slot_width).  Slot entries never exceed p^(n*t), so a
-    slot width of n*bits(p^t)+4 leaves no carry bleed between slots.
-    """
+def _class_tables(p: int, t: int) -> tuple[dict, tuple, tuple]:
+    """(index, pairs, coordinates) for Z/p^t: index numbers the classes;
+    for a representative r of class C, pairs[C] lists (i, j, n) with n the
+    number of w in class i with r - w in class j; coordinates[c][C] counts
+    the x with a*x^2 equal to one element of class C, a in class c."""
     M = p**t
-    n = len(gram_mod)
-    W = -((n * M.bit_length() + 5) // -8) * 8  # byte-aligned slot width
-    width_bytes = W // 8
-    mask = (1 << (W * M)) - 1
+    index: dict[tuple[int, int], int] = {}
+    cls = [0] * M
+    for k in range(t):
+        # p^k * u for a unit u is classed by u mod p (u mod 8 for p = 2); the
+        # multiples of p^(k+1) are set again by the next pass.
+        period = min(p ** (t - k), 8 if p == 2 else p)
+        pattern = [index.setdefault(_square_class(u * p**k, p, t), len(index))
+                   for u in range(period)]
+        cls[:: p**k] = pattern * (p ** (t - k) // period)
+    K = len(index)
+    reps = [cls.index(c) for c in range(K)]
+    # The pair (class of w, class of r - w) is counted as one integer.
+    scaled = [c * K for c in cls]
+    pairs = tuple(
+        tuple((*divmod(ij, K), n)
+              for ij, n in Counter(map(add, scaled, cls[r::-1] + cls[:r:-1])).items())
+        for r in reps
+    )
+    # a*x^2 is in the class of a*rep(class of x^2): one count serves every a.
+    squares = Counter(map(cls.__getitem__, map(pow, range(M), repeat(2), repeat(M))))
+    sizes = Counter(cls)
+    coordinates = []
+    for a in reps:
+        totals = Counter()
+        for c, n in squares.items():
+            totals[cls[a * reps[c] % M]] += n
+        coordinates.append(tuple(totals[C] // sizes[C] for C in range(K)))
+    return index, pairs, tuple(coordinates)
 
-    count_bytes = (M.bit_length() + 7) // 8  # counts never exceed M
 
-    def pack(counts: tuple[int, ...]) -> int:
-        buf = bytearray(width_bytes * M)
-        for v, cnt in enumerate(counts):
-            if cnt:
-                pos = v * width_bytes
-                buf[pos : pos + count_bytes] = cnt.to_bytes(count_bytes, "little")
-        return int.from_bytes(buf, "little")
-
-    packed = pack(_coordinate_distribution(p, t, gram_mod[0]))
-    for a in gram_mod[1:]:
-        prod = packed * pack(_coordinate_distribution(p, t, a))
-        packed = (prod & mask) + (prod >> (W * M))
-    return packed, W
+@lru_cache(maxsize=4096)
+def _class_distribution(p: int, t: int, classes: tuple[int, ...]) -> tuple[int, ...]:
+    """Count of sum(a_j x_j^2) = v mod p^t for one v in each class, the a_j
+    in the given classes; one table sum per class and coefficient."""
+    _, pairs, coordinates = _class_tables(p, t)
+    last = coordinates[classes[-1]]
+    if len(classes) == 1:
+        return last
+    head = _class_distribution(p, t, classes[:-1])
+    return tuple(sum(n * head[i] * last[j] for i, j, n in row) for row in pairs)
 
 
-def _residue_count_density(
-    p: int, t: int, gram: tuple[int, ...], h: Fraction, modulus_cap: int
-) -> Fraction:
-    M = p**t
-    if M > modulus_cap:
-        raise ResourceCapError(
-            f"oracle modulus {p}^{t} = {M} exceeds cap {modulus_cap}"
-        )
+def _residue_count_density(p: int, t: int, gram: tuple[int, ...], h: Fraction) -> Fraction:
+    M, index = p**t, _class_tables(p, t)[0]
     h_mod = h.numerator * pow(h.denominator, -1, M) % M
-    gram_mod = tuple(sorted(a % M for a in gram))
-    packed, W = _packed_distribution(p, t, gram_mod)
-    count = (packed >> (W * h_mod)) & ((1 << W) - 1)
+    classes = tuple(sorted(index[_square_class(a % M, p, t)] for a in gram))
+    count = _class_distribution(p, t, classes)[index[_square_class(h_mod, p, t)]]
     return Fraction(count, p ** ((len(gram) - 1) * t))
 
 
@@ -468,7 +482,12 @@ def siegel_count_density(
         raise ValueError("target must be positive")
     if frac_valuation(h, p) < 0:
         raise ValueError("target must be a p-adic integer")
-    vals = [_residue_count_density(p, tt, gram, h, modulus_cap) for tt in (t, t + 1, t + 2)]
+    for tt in (t, t + 1, t + 2):  # before any table is built
+        if p**tt > modulus_cap:
+            raise ResourceCapError(
+                f"oracle modulus {p}^{tt} = {p**tt} exceeds cap {modulus_cap}"
+            )
+    vals = [_residue_count_density(p, tt, gram, h) for tt in (t, t + 1, t + 2)]
     return Density(vals[0], "oracle", t=t, stabilized=vals[0] == vals[1] == vals[2])
 
 
@@ -609,13 +628,13 @@ def verify_case_bounds(
       case3: |R1| <= 1 - (p^-rn - p^-(rn+1)).
 
     p = 2: the tail of the exponent series from t = rn + 2 onward is
-    summed exactly (truncation extends past rn + 40 until the coarse
-    per-term bound 2^(r4 - t) drops below 10^-12 of the partial sum) and
-    compared against 2^(r4 - rn - 1); the middle range r4 + 2 <= t <= rn,
-    when nonempty, is compared against 2^-1 + ... + 2^(r4 - rn + 1).  The
-    patterns [0,0,0,2] and [0,0,1,3] also get the sharpened bounds one
-    power of two lower.  Each target h additionally must give a density in
-    (0, 2].
+    summed exactly (there every delta(t) is 1 and the exponent falls by
+    n - 2 every two steps, so the tail is its first two terms over
+    1 - 2^(2 - n)) and compared against 2^(r4 - rn - 1); the middle range
+    r4 + 2 <= t <= rn, when nonempty, is compared against
+    2^-1 + ... + 2^(r4 - rn + 1).  The patterns [0,0,0,2] and [0,0,1,3] also
+    get the sharpened bounds one power of two lower.  Each target h
+    additionally must give a density in (0, 2].
     """
     label = classify_universality_pattern(jd)
     if label == "unclassified":
@@ -654,39 +673,20 @@ def verify_case_bounds(
         return rows
 
     # p = 2: series bounds first, then the per-target range check.
+    def series_row(method: str, value: Fraction, bound: Fraction) -> None:
+        ok = value <= bound
+        rows.append(ConformanceRow(2, gram, None, None, None, method, value, bound, ok))
+
     sharpened = rs[:4] in ((0, 0, 0, 2), (0, 0, 1, 3))
-    stop = rn + 40
-    tail = _tail_sum_two_adic(rs, rn + 2, stop)
-    while _pow_frac(2, r4 - stop) >= tail * Fraction(1, 10**12) and stop < rn + 400:
-        stop += 10
-        tail = _tail_sum_two_adic(rs, rn + 2, stop)
-    bound4 = _pow_frac(2, r4 - rn - 1)
-    rows.append(
-        ConformanceRow(2, gram, None, None, None, "lemma4_tail", tail, bound4, tail <= bound4)
-    )
+    tail = _tail_sum_two_adic(rs, rn + 2, rn + 3) / (1 - _pow_frac(2, 2 - jd.n))
+    series_row("lemma4_tail", tail, _pow_frac(2, r4 - rn - 1))
     if sharpened:
-        bound = _pow_frac(2, r4 - rn - 2)
-        rows.append(
-            ConformanceRow(
-                2, gram, None, None, None, "lemma4_tail_sharpened", tail, bound, tail <= bound
-            )
-        )
+        series_row("lemma4_tail_sharpened", tail, _pow_frac(2, r4 - rn - 2))
     if r4 + 2 <= rn:
         middle = _tail_sum_two_adic(rs, r4 + 2, rn)
-        bound5 = sum((_pow_frac(2, -k) for k in range(1, rn - r4)), Fraction(0))
-        rows.append(
-            ConformanceRow(
-                2, gram, None, None, None, "lemma5_middle", middle, bound5, middle <= bound5
-            )
-        )
+        series_row("lemma5_middle", middle, 1 - _pow_frac(2, r4 - rn + 1))
         if sharpened:
-            bound = sum((_pow_frac(2, -k) for k in range(2, rn - r4 + 1)), Fraction(0))
-            rows.append(
-                ConformanceRow(
-                    2, gram, None, None, None, "lemma5_middle_sharpened",
-                    middle, bound, middle <= bound,
-                )
-            )
+            series_row("lemma5_middle_sharpened", middle, Fraction(1, 2) - _pow_frac(2, r4 - rn))
     for h in h_values:
         h = Fraction(h)
         value = yang_density_two(jd, h).value

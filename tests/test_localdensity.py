@@ -171,11 +171,15 @@ def test_yang_input_validation():
         (2, 2, (1, 3), (4, 1, 2, 3)),
         (2, 3, (1, 2, 3, 4), (1, 5, 8)),
         (5, 1, (1, 2, 3), (5, 2, 4)),
+        (2, 4, (1, 3, 5), (Fraction(1, 3),)),
+        (3, 3, (1, 2), (Fraction(5, 2),)),
     ],
 )
 def test_oracle_matches_naive_residue_counting(p, t, gram, targets):
-    # the target p**t reaches residue class 0 mod p**t; h = 0 itself is rejected
-    for h in targets:
+    # Every residue 1..p**t, so each square class is reached: the target
+    # p**t is residue 0, and at p = 2 unit parts are keyed mod 2, 4 and 8.
+    # h = 0 itself is rejected.  The listed targets add rationals.
+    for h in (*range(1, p**t + 1), *targets):
         fast = siegel_count_density(p, gram, h, t).value
         assert fast == ref.residue_density(p, t, gram, h)
 
@@ -214,6 +218,10 @@ def test_oracle_input_validation():
         siegel_count_density(3, (), 1, 1)
     with pytest.raises(ResourceCapError):
         siegel_count_density(2, (1, 1), 1, 30)
+    # the cap bounds the largest modulus used, p^(t+2)
+    with pytest.raises(ResourceCapError, match=r"3\^4 = 81 exceeds cap 27"):
+        siegel_count_density(3, (1, 1, 1, 1), 1, 2, modulus_cap=27)
+    assert siegel_count_density(3, (1, 1, 1, 1), 1, 2, modulus_cap=81).stabilized
 
 
 def test_oracle_accepts_jordan_input():
@@ -354,6 +362,8 @@ def test_case_bounds_two_adic_series_rows():
     assert "lemma5_middle" in methods
     assert methods.count("two_adic_range") == 4
     assert all(r.passed for r in rows)
+    # the whole tail from t = rn + 2 on, summed exactly
+    assert rows[methods.index("lemma4_tail")].value == Fraction(1, 48)
 
 
 def test_case_bounds_reject_unclassified_input():
