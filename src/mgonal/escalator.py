@@ -40,8 +40,11 @@ _UNIVERSAL = "universal"
 class EscalatorNode:
     form: PolygonalForm
     truant: int | None  # None = B-universal
-    depth: int
-    children: list["EscalatorNode"] = field(default_factory=list)
+    children: list["EscalatorNode"] = field(default_factory=list, kw_only=True)
+
+    @property
+    def depth(self) -> int:
+        return self.form.n
 
     @property
     def universal(self) -> bool:
@@ -53,10 +56,13 @@ class EscalatorTree:
     m: int
     bound: int
     max_depth: int
-    root: EscalatorNode
-    nodes: list[EscalatorNode]  # breadth-first order
+    nodes: list[EscalatorNode]  # breadth-first order, root first
     gamma_estimate: int  # largest truant; only a lower bound unless complete
     complete: bool
+
+    @property
+    def root(self) -> EscalatorNode:
+        return self.nodes[0]
 
 
 def escalate(node: EscalatorNode) -> list[PolygonalForm]:
@@ -95,13 +101,12 @@ def build_tree(
         raise ValueError(f"on_cap must be 'error' or 'truncate', got {on_cap!r}")
     root_form = PolygonalForm(m, ())
     root_rep = represented_set(root_form, bound)
-    root = EscalatorNode(root_form, root_rep.truant(), 0)
+    root = EscalatorNode(root_form, root_rep.truant())
     nodes = [root]
     queue: deque[tuple[EscalatorNode, RepresentationSet]] = deque([(root, root_rep)])
-    capped = False
     while queue:
         node, rep = queue.popleft()
-        if capped or node.truant is None or node.depth >= max_depth:
+        if node.truant is None or node.depth >= max_depth:
             continue
         for form in escalate(node):
             if len(nodes) >= node_cap:
@@ -109,10 +114,9 @@ def build_tree(
                     raise ResourceCapError(
                         f"escalator tree for m={m} exceeded node cap {node_cap}"
                     )
-                capped = True
-                break
+                return _finish(m, bound, max_depth, nodes)
             child_rep = extend_set(rep, m, form.coeffs[-1])
-            child = EscalatorNode(form, child_rep.truant(), node.depth + 1)
+            child = EscalatorNode(form, child_rep.truant())
             node.children.append(child)
             nodes.append(child)
             queue.append((child, child_rep))
@@ -127,7 +131,7 @@ def _finish(
     truant, 1, keeps the maximum defined."""
     gamma = max(n.truant for n in nodes if n.truant is not None)
     complete = all(n.truant is None or n.children for n in nodes)
-    return EscalatorTree(m, bound, max_depth, nodes[0], nodes, gamma, complete)
+    return EscalatorTree(m, bound, max_depth, nodes, gamma, complete)
 
 
 def min_leaf_depth(tree: EscalatorTree) -> int | None:
@@ -178,9 +182,11 @@ def deserialize_tree(text: str) -> EscalatorTree:
     """Parse a tree document produced by serialize_tree.
 
     Validation is structural (field types, truants within the bound, sorted
-    canonical node order, parent/child coefficient linkage, reachability);
+    canonical node order, parent/child coefficient linkage, one tree);
     semantic facts such as truant correctness are the builder's job, not the
-    parser's.
+    parser's.  A checked link extends its parent by one coefficient, so no
+    node has two parents and the sorted nodes form one tree rooted at the
+    first node exactly when there are len(nodes) - 1 links.
     """
     try:
         doc = json.loads(text)
@@ -210,11 +216,11 @@ def deserialize_tree(text: str) -> EscalatorTree:
         raw_coeffs = raw["coeffs"]
         if not isinstance(raw_coeffs, list):
             raise _parse_error(f"{path}.coeffs", "expected an array")
-        coeffs = tuple(
-            _require_int(a, f"{path}.coeffs[{j}]", 1) for j, a in enumerate(raw_coeffs)
-        )
-        if any(a > b for a, b in zip(coeffs, coeffs[1:])):
-            raise _parse_error(f"{path}.coeffs", "coefficients must be sorted ascending")
+        try:
+            form = PolygonalForm(m, tuple(raw_coeffs))
+        except ValueError as exc:
+            raise _parse_error(f"{path}.coeffs", str(exc)) from exc
+        coeffs = form.coeffs
         if len(coeffs) > max_depth:
             raise _parse_error(f"{path}.coeffs", "node deeper than max_depth")
         if prev_coeffs is not None and coeffs <= prev_coeffs:
@@ -242,7 +248,7 @@ def deserialize_tree(text: str) -> EscalatorTree:
             raise _parse_error(f"{path}.children", "duplicate child index")
         if node_truant is None and kids:
             raise _parse_error(f"{path}.children", "universal nodes have no children")
-        parsed.append(EscalatorNode(PolygonalForm(m, coeffs), node_truant, len(coeffs)))
+        parsed.append(EscalatorNode(form, node_truant))
         child_indices.append(kids)
 
     for idx, kids in enumerate(child_indices):
@@ -257,20 +263,13 @@ def deserialize_tree(text: str) -> EscalatorTree:
                 raise _parse_error(path, "child does not extend parent by one coefficient")
             last = child.form.coeffs[-1]
             floor = parent.form.coeffs[-1] if parent.form.coeffs else 1
-            if parent.truant is None or not (floor <= last <= parent.truant):
+            if not floor <= last <= parent.truant:
                 raise _parse_error(path, "child coefficient outside the escalation range")
             parent.children.append(child)
 
-    roots = [n for n in parsed if not n.form.coeffs]
-    if len(roots) != 1:
+    if parsed[0].form.coeffs:
         raise _parse_error("nodes", "expected exactly one root (empty coefficient list)")
-    root = roots[0]
-    bfs: list[EscalatorNode] = []
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        bfs.append(node)
-        queue.extend(node.children)
-    if len(bfs) != len(parsed):
+    if sum(map(len, child_indices)) != len(parsed) - 1:
         raise _parse_error("nodes", "some nodes are unreachable from the root")
-    return _finish(m, bound, max_depth, bfs)
+    # breadth-first order as build_tree makes it: lexicographic within a depth
+    return _finish(m, bound, max_depth, sorted(parsed, key=lambda n: n.depth))

@@ -336,34 +336,32 @@ def yang_density_two(jd: JordanDecomposition, h: Fraction | int) -> Density:
 
     total = Fraction(0)
     for t in range(2, a + 4):
-        if any(r == t - 1 for r in rs):
-            continue  # delta(t) = 0
-        low = [i for i, r in enumerate(rs) if r < t - 1]
-        odd_count = len(_l_indices(rs, t - 1))
+        term = _two_adic_term(rs, t)
+        if term is None:
+            continue
+        odd, power = term
         eps8 = 1
         for i in _l_indices(rs, t - 1):
             eps8 = eps8 * bs[i] % 8
-        d = _d_of_t_shifted(rs, t)
-        mu8 = (alpha8 * pow(2, a + 3 - t, 8) - sum(bs[i] for i in low)) % 8
-        if odd_count % 2 == 1:
-            sym = _kronecker2(mu8 * eps8 % 8)
-            if sym == 0:
-                continue
-            e = _as_int(d - Fraction(3, 2), "d(t) - 3/2 with odd index count")
-            total += sym * _pow_frac(2, e)
-        else:
-            if mu8 % 4 != 0:
-                continue  # mu outside 4 Z_2
-            sign = 1 if mu8 == 0 else -1
-            e = _as_int(d - 1, "d(t) - 1 with even index count")
-            total += _kronecker2(eps8) * sign * _pow_frac(2, e)
+        low = sum(b for b, r in zip(bs, rs) if r < t - 1)
+        mu8 = (alpha8 * pow(2, a + 3 - t, 8) - low) % 8
+        if odd:
+            total += _kronecker2(mu8 * eps8 % 8) * power
+        elif mu8 % 4 == 0:  # mu in 4 Z_2
+            total += _kronecker2(eps8) * (1 if mu8 == 0 else -1) * power
 
     return Density(1 + total, "yang_two")
 
 
-def _d_of_t_shifted(exponents: tuple[int, ...], t: int) -> Fraction:
-    """t + (1/2) * sum(r_i - t + 1 over r_i < t - 1); the 2-adic exponent."""
-    return t + Fraction(sum(r - t + 1 for r in exponents if r < t - 1), 2)
+def _two_adic_term(rs: tuple[int, ...], t: int) -> tuple[bool, Fraction] | None:
+    """None when delta(t) = 0, else (odd, 2^e): whether the index count is
+    odd, and e = d(t) - 3/2 if it is, d(t) - 1 if not, where the 2-adic
+    d(t) = t + (1/2) * sum(r_i - t + 1 over r_i < t - 1)."""
+    if t - 1 in rs:
+        return None
+    odd = len(_l_indices(rs, t - 1)) % 2 == 1
+    e = _d_of_t(rs, t - 1) + 1 - (Fraction(3, 2) if odd else 1)
+    return odd, _pow_frac(2, _as_int(e, "2-adic exponent"))
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +604,8 @@ def _tail_sum_two_adic(rs: tuple[int, ...], start: int, stop: int) -> Fraction:
     count, else 2^(d-1)) for the 2-adic exponent data."""
     total = Fraction(0)
     for t in range(start, stop + 1):
-        if any(r == t - 1 for r in rs):
-            continue
-        d = _d_of_t_shifted(rs, t)
-        if len(_l_indices(rs, t - 1)) % 2 == 1:
-            total += _pow_frac(2, _as_int(d - Fraction(3, 2), "tail exponent"))
-        else:
-            total += _pow_frac(2, _as_int(d - 1, "tail exponent"))
+        if (term := _two_adic_term(rs, t)) is not None:
+            total += term[1]
     return total
 
 

@@ -53,7 +53,7 @@ def test_escalating_the_root_gives_the_unit_coefficient():
 
 
 def test_escalating_a_universal_node_is_an_error():
-    node = EscalatorNode(PolygonalForm.of(3, 1, 1, 1), None, 3)
+    node = EscalatorNode(PolygonalForm.of(3, 1, 1, 1), None)
     with pytest.raises(ValueError):
         escalate(node)
 
@@ -211,6 +211,12 @@ def test_parse_rejects_unsorted_coefficients():
         if node["coeffs"] == [1, 2]:
             node["coeffs"] = [2, 1]
     expect_parse_error(doc, "sorted")
+    # a coefficient that is not a positive integer fails at the same path
+    for bad in (True, 0):
+        doc = valid_doc()
+        i = next(i for i, n in enumerate(doc["nodes"]) if n["coeffs"] == [1, 2])
+        doc["nodes"][i]["coeffs"] = [1, bad]
+        expect_parse_error(doc, rf"nodes\[{i}\]\.coeffs: .*positive integers")
 
 
 def test_parse_rejects_node_order_violation():
@@ -266,11 +272,29 @@ def test_parse_rejects_truant_above_bound():
     expect_parse_error(doc, "truant exceeds bound")
 
 
+def test_parse_ignores_child_order():
+    tree = build_tree(5, max_depth=3, bound=500)
+    doc = json.loads(serialize_tree(tree))
+    for node in doc["nodes"]:
+        node["children"].reverse()
+    back = deserialize_tree(json.dumps(doc))
+    assert [n.form.coeffs for n in back.nodes] == [n.form.coeffs for n in tree.nodes]
+
+
 def test_parse_rejects_child_that_does_not_extend_parent():
     doc = valid_doc()
     root_pos = next(i for i, n in enumerate(doc["nodes"]) if n["coeffs"] == [])
     deep_pos = next(i for i, n in enumerate(doc["nodes"]) if len(n["coeffs"]) == 2)
     doc["nodes"][root_pos]["children"] = [deep_pos]
+    expect_parse_error(doc, "does not extend parent")
+
+
+def test_parse_rejects_child_listed_by_two_parents():
+    # only a node's one-shorter prefix can be its parent, so every node has
+    # at most one incoming link, which the parser's link count relies on
+    doc = json.loads(serialize_tree(build_tree(3, max_depth=3, bound=100)))
+    pos = {tuple(n["coeffs"]): i for i, n in enumerate(doc["nodes"])}
+    doc["nodes"][pos[(1, 1)]]["children"].append(pos[(1, 2, 2)])
     expect_parse_error(doc, "does not extend parent")
 
 
