@@ -265,7 +265,7 @@ def deserialize_tree(text: str) -> EscalatorTree:
             floor = parent.form.coeffs[-1] if parent.form.coeffs else 1
             if not floor <= last <= parent.truant:
                 raise _parse_error(path, "child coefficient outside the escalation range")
-            parent.children.append(child)
+        parent.children.extend(parsed[k] for k in sorted(kids))  # ascending, as build_tree
 
     if parsed[0].form.coeffs:
         raise _parse_error("nodes", "expected exactly one root (empty coefficient list)")

@@ -18,6 +18,7 @@ All arithmetic here is exact rational; no floats.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,10 +111,12 @@ def representation_count(
 ) -> int:
     """Number of integer vectors lambda with sum(a_j*(lambda_j - c/N)**2) = h.
 
-    Exact enumeration: clearing denominators, count y_j = N*lambda_j - c
-    (so y_j = -c mod N) with sum(a_j * y_j**2) = h * N**2.  Coordinates are
-    consumed largest-coefficient-first for pruning.  The estimated search
-    box is checked against cell_cap before any work is done.
+    Clearing denominators, count y_j = N*lambda_j - c (so y_j = -c mod N)
+    with sum(a_j * y_j**2) = H = h * N**2.  The count walks remainders
+    H - sum(a_j * y_j**2) one coefficient at a time, so prefixes that leave
+    the same remainder are walked once, and the last coefficient is a
+    single square test per remainder.  cell_cap bounds the estimated search
+    box, checked before any work is done; the box bounds the walk.
     """
     h = Fraction(h)
     if h < 0:
@@ -134,35 +137,27 @@ def representation_count(
                 f"enumeration box of ~{cells} cells exceeds cap {cell_cap}"
             )
 
-    N, c = X.N, X.c
-    residue = (-c) % N
+    N = X.N
+    residue = (-X.c) % N
 
-    def count_from(j: int, rem: int) -> int:
-        a = coeffs[j]
-        if j == len(coeffs) - 1:
-            if rem % a:
-                return 0
-            sq = rem // a
-            s = math.isqrt(sq)
-            if s * s != sq:
-                return 0
-            if s == 0:
-                return 1 if residue == 0 else 0
-            total = 0
-            if s % N == residue:
-                total += 1
-            if (-s) % N == residue:
-                total += 1
-            return total
-        total = 0
-        limit = math.isqrt(rem // a)
-        y = -limit + ((residue - (-limit)) % N)  # smallest y >= -limit, y = -c mod N
-        while y <= limit:
-            total += count_from(j + 1, rem - a * y * y)
-            y += N
-        return total
+    def axis(limit: int) -> range:  # the y = -c mod N with |y| <= limit
+        return range(-limit + (residue + limit) % N, limit + 1, N)
 
-    return count_from(0, H)
+    remainders = Counter({H: 1})
+    for a in coeffs[:-1]:
+        grown: Counter[int] = Counter()
+        for rem, n in remainders.items():
+            for y in axis(math.isqrt(rem // a)):
+                grown[rem - a * y * y] += n
+        remainders = grown
+
+    a = coeffs[-1]
+    total = 0
+    for rem, n in remainders.items():
+        s = math.isqrt(rem // a)
+        if a * s * s == rem:
+            total += n * len({y for y in (s, -s) if y % N == residue})
+    return total
 
 
 def represents_equivalence_check(form: PolygonalForm, ell: int, bound: int) -> bool:

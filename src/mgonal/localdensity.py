@@ -76,6 +76,17 @@ def frac_valuation(h: Fraction, p: int) -> int:
     return _valuation(h.numerator, p) - _valuation(h.denominator, p)
 
 
+def _integral_target(h: Fraction | int, p: int) -> tuple[Fraction, int]:
+    """(h, ord_p h) for a target that must be positive and p-adically integral."""
+    h = Fraction(h)
+    if h <= 0:
+        raise ValueError("target must be positive")
+    a = frac_valuation(h, p)
+    if a < 0:
+        raise ValueError(f"target must be a {p}-adic integer")
+    return h, a
+
+
 def _unit_part_mod(h: Fraction, p: int, modulus: int) -> int:
     """The unit alpha = h / p^valuation reduced mod `modulus` (a p-power)."""
     num, den = h.numerator, h.denominator
@@ -269,12 +280,7 @@ def yang_density_odd(jd: JordanDecomposition, h: Fraction | int) -> Density:
         raise WrongDispatchError("this formula is for odd primes; use the 2-adic one")
     if jd.n % 2 != 0 or jd.n < 4:
         raise ValueError("rank must be even and >= 4")
-    h = Fraction(h)
-    if h <= 0:
-        raise ValueError("target must be positive")
-    a = frac_valuation(h, p)
-    if a < 0:
-        raise ValueError("target must be a p-adic integer")
+    h, a = _integral_target(h, p)
     rs = jd.exponents
     bs = jd.units
 
@@ -324,12 +330,7 @@ def yang_density_two(jd: JordanDecomposition, h: Fraction | int) -> Density:
         raise WrongDispatchError("this formula is specific to p = 2")
     if jd.n % 2 != 0 or jd.n < 4:
         raise ValueError("rank must be even and >= 4")
-    h = Fraction(h)
-    if h <= 0:
-        raise ValueError("target must be positive")
-    a = frac_valuation(h, 2)
-    if a < 0:
-        raise ValueError("target must be a 2-adic integer")
+    h, a = _integral_target(h, 2)
     rs = jd.exponents
     bs = jd.units
     alpha8 = _unit_part_mod(h, 2, 8)
@@ -475,11 +476,7 @@ def siegel_count_density(
     gram = tuple(source.gram()) if isinstance(source, JordanDecomposition) else tuple(source)
     if not gram:
         raise ValueError("gram must be nonempty")
-    h = Fraction(h)
-    if h <= 0:
-        raise ValueError("target must be positive")
-    if frac_valuation(h, p) < 0:
-        raise ValueError("target must be a p-adic integer")
+    h, _ = _integral_target(h, p)
     for tt in (t, t + 1, t + 2):  # before any table is built
         if p**tt > modulus_cap:
             raise ResourceCapError(

@@ -279,6 +279,9 @@ def test_parse_ignores_child_order():
         node["children"].reverse()
     back = deserialize_tree(json.dumps(doc))
     assert [n.form.coeffs for n in back.nodes] == [n.form.coeffs for n in tree.nodes]
+    assert [[c.form.coeffs for c in n.children] for n in back.nodes] == [
+        [c.form.coeffs for c in n.children] for n in tree.nodes
+    ]
 
 
 def test_parse_rejects_child_that_does_not_extend_parent():

@@ -125,7 +125,7 @@ def test_admissible_always_holds_on_targets_of_multiples_of_eight(m, coeffs, k):
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=0, max_value=40),
 )
@@ -146,6 +146,15 @@ def test_count_frozen_examples():
     # shifted: lambda - 1/2 on both axes, target 1/2 = 4 * (1/4 + 1/4) / 4
     Y = ShiftedDiagonalLattice((1, 1), 1, 2)
     assert representation_count(Y, Fraction(1, 2)) == 4
+    # four squares (Jacobi): r4(25) = 8 * 31, r4(2400) = 24 * sigma(75)
+    Z = ShiftedDiagonalLattice((1, 1, 1, 1), 0, 1)
+    assert representation_count(Z, 25) == 248
+    assert representation_count(Z, 2400) == 2976
+    # one long axis is a single square test, whatever the target's size
+    assert representation_count(ShiftedDiagonalLattice((1,), 0, 1), 10**14) == 2
+    # 10^10 = 10^6 * y^2 + z^2 forces z = 1000 * w with y^2 + w^2 = 10^4,
+    # and r2(10^4) = 4 * #{odd divisors of 5^4} = 20
+    assert representation_count(ShiftedDiagonalLattice((1, 10**6), 0, 1), 10**10) == 20
 
 
 def test_count_of_non_lattice_rational_target_is_zero():
@@ -188,11 +197,11 @@ def test_count_is_invariant_under_negating_the_shift(gram, N, numerator):
 
 def test_equivalence_check_small_grid():
     for m in (3, 5, 7, 8):
-        form = PolygonalForm.of(m, 1, 2, 3)
-        for ell in range(0, 61):
-            assert represents_equivalence_check(form, ell, 100) == (
-                ell in ref.represented(m, form.coeffs, 100)
-            )
+        for form in (PolygonalForm.of(m, 1, 2, 3), PolygonalForm.of(m, 1, 2, 3, 5, 8)):
+            for ell in range(0, 61):
+                assert represents_equivalence_check(form, ell, 100) == (
+                    ell in ref.represented(m, form.coeffs, 100)
+                )
 
 
 def test_equivalence_check_validates_the_window():

@@ -151,8 +151,10 @@ def test_yang_input_validation():
         yang_density_two(jd4, 1)
     with pytest.raises(ValueError):
         yang_density_odd(jd4, 0)
-    with pytest.raises(ValueError):
-        yang_density_odd(jd4, Fraction(1, 3))  # not a 3-adic integer
+    with pytest.raises(ValueError, match="target must be a 3-adic integer"):
+        yang_density_odd(jd4, Fraction(1, 3))
+    with pytest.raises(ValueError, match="target must be a 2-adic integer"):
+        yang_density_two(jordan_decompose(2, (1, 1, 1, 1)), Fraction(1, 2))
     with pytest.raises(ValueError):
         yang_density_odd(jordan_decompose(3, (1, 1, 1)), 1)
     with pytest.raises(ValueError):
@@ -199,6 +201,8 @@ def test_stabilization_threshold_formula():
     assert stabilization_threshold(3, (1, 3, 9), 9) == 2 * 3 + 2 + 1
     assert stabilization_threshold(2, (1, 2), 1) == 2 * 2 + 0 + 1
     assert stabilization_threshold(5, (1, 1), Fraction(25, 2)) == 0 + 2 + 1
+    # positivity is its only check: a non-integral target is not an error
+    assert stabilization_threshold(3, (1, 1), Fraction(1, 3)) == 0 - 1 + 1
 
 
 def test_oracle_input_validation():
@@ -212,7 +216,7 @@ def test_oracle_input_validation():
         siegel_count_density(3, (1, 1), 0, 1)
     with pytest.raises(ValueError, match="target must be positive"):
         stabilization_threshold(3, (1, 1), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target must be a 3-adic integer"):
         siegel_count_density(3, (1, 1), Fraction(1, 3), 1)
     with pytest.raises(ValueError):
         siegel_count_density(3, (), 1, 1)
