@@ -115,8 +115,9 @@ def representation_count(
     with sum(a_j * y_j**2) = H = h * N**2.  The count walks remainders
     H - sum(a_j * y_j**2) one coefficient at a time, so prefixes that leave
     the same remainder are walked once, and the last coefficient is a
-    single square test per remainder.  cell_cap bounds the estimated search
-    box, checked before any work is done; the box bounds the walk.
+    single square test per remainder.  cell_cap bounds the walk's steps
+    (axis points walked plus square tests), checked before any work is
+    done.
     """
     h = Fraction(h)
     if h < 0:
@@ -129,19 +130,24 @@ def representation_count(
         return 1 if H == 0 else 0
 
     coeffs = sorted(X.gram, reverse=True)
-    cells = 1
-    for a in coeffs:
-        cells *= 2 * math.isqrt(H // a) // X.N + 2
-        if cells > cell_cap:
-            raise ResourceCapError(
-                f"enumeration box of ~{cells} cells exceeds cap {cell_cap}"
-            )
-
     N = X.N
     residue = (-X.c) % N
 
     def axis(limit: int) -> range:  # the y = -c mod N with |y| <= limit
         return range(-limit + (residue + limit) % N, limit + 1, N)
+
+    # The remainders lie in [0, H] and are at most as many as the points of
+    # the axes walked so far; each walks at most its coefficient's axis.
+    steps, reach = 0, 1
+    for a in coeffs[:-1]:
+        length = len(axis(math.isqrt(H // a)))
+        steps += reach * length
+        reach = min(H + 1, reach * length)
+    steps += reach
+    if steps > cell_cap:
+        raise ResourceCapError(
+            f"remainder walk of ~{steps} steps exceeds cap {cell_cap}"
+        )
 
     remainders = Counter({H: 1})
     for a in coeffs[:-1]:

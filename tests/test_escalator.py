@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -127,6 +128,54 @@ def test_very_large_m_has_no_shallow_universal_node():
     assert all(n.truant is not None for n in tree.nodes)
     assert min_leaf_depth(tree) is None
     assert not tree.complete
+
+
+# ---------------------------------------------------------------------------
+# byte-level pins: the serialized trees of m = 3..14 (depth 12, bound 2e4)
+# and the complete trees of m = 15..18 (depth cap m + 4, bound 1e5)
+
+TREE_SHA256_DEPTH12_BOUND_2E4 = {
+    3: "5bcd6bd17871a1ff9cfb3fa745206987437ec8d4f8bc767ea608c776baa98b7a",
+    4: "388761559a66ebf0d818fb866f096e622a91260abd2c38139adaf6ea20dc860f",
+    5: "2d001f814e6728cf76f7e1a08e6aa335b28f358d356bb376f35988479ec63b60",
+    6: "6147c7fb007c508b2d2df7a6e6427d57797d7bccd1b810c7fe1f706f03396595",
+    7: "1298539c1e7c031e3f77798637db1bd2ce804a4dbf642819327ef448f1ea4fca",
+    8: "010826d66eefeb9cd7bc43721598aa78956ac01f9b6b1ab974c1da95c514616b",
+    9: "2f0dc9c8511a9c1a7d6fe4afe5d427f8eaa074dff5cc69d62e8ed346aadde3ce",
+    10: "f746d7268f6b467057bbf8eee8b9a588effd00d13fa927045949b80aabf6b177",
+    11: "af2b5fa85ecc65da6e5bdfd455597b289486e01b92961e1503e4734684641eb2",
+    12: "2f19fce7f8fb24dea3e8d63691dde1b9a34d0f75455597b4b7a2f85f1bf7d4ee",
+    13: "d6feba87a95d060c8e52cab105121af5094522ac616f90cfd686fef1de678c98",
+    14: "82b41bdad0f8df6b6c1b53a1eb089bbe18a094196508040795f8c5d45352ffb8",
+}
+
+# m -> (gamma_m, nodes, sha256 of the serialized tree)
+COMPLETE_TREES_BOUND_1E5 = {
+    15: (143, 8413, "cf0ffc290b3f0e26c675bfebb1c47fe49dce9b45c1eabb00e8eeda004b7b2bfd"),
+    16: (127, 12420, "58f39393d0198d647a8a352004156e1f72bf2d2b80489c519872c84d00e360de"),
+    17: (149, 16371, "0a82cf551250a298d48bacf0d7621e7fc6acf836db4ba4fc00df65664c38124b"),
+    18: (119, 29593, "e4c0d4bcb90e9f5744ac4bd8328a1317e472feb7ca4d45963cd09fa79c91ed4c"),
+}
+
+
+def _sha256(tree) -> str:
+    return hashlib.sha256(serialize_tree(tree).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m", sorted(TREE_SHA256_DEPTH12_BOUND_2E4))
+def test_depth12_trees_are_pinned_byte_for_byte(m):
+    tree = build_tree(m, 12, 20000)
+    assert tree.complete
+    assert _sha256(tree) == TREE_SHA256_DEPTH12_BOUND_2E4[m]
+
+
+@pytest.mark.parametrize("m", sorted(COMPLETE_TREES_BOUND_1E5))
+def test_complete_trees_beyond_m14_are_pinned(m):
+    tree = build_tree(m, m + 4, 100_000)
+    assert tree.complete
+    assert (tree.gamma_estimate, len(tree.nodes), _sha256(tree)) == (
+        COMPLETE_TREES_BOUND_1E5[m]
+    )
 
 
 # ---------------------------------------------------------------------------

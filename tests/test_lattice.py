@@ -170,6 +170,20 @@ def test_count_rejects_negative_targets_and_enforces_the_cap():
         representation_count(X, 10**8, cell_cap=100)
 
 
+def test_cell_cap_bounds_the_remainder_walk():
+    # Under the default cap: r6(2000) by the divisor-sum formula, and
+    # r4(10^4) = 8 * (sum of the divisors of 10^4 not divisible by 4)
+    six = ShiftedDiagonalLattice((1,) * 6, 0, 1)
+    assert representation_count(six, 2000) == 66_601_392
+    assert representation_count(ShiftedDiagonalLattice((1,) * 4, 0, 1), 10**4) == 18_744
+    # axes of 89 points: 89 + 89**2 + 3 * 2001 * 89 walk steps, then 2001
+    # square tests, one per remainder in [0, 2000]
+    steps = 89 + 89**2 + 3 * 2001 * 89 + 2001
+    with pytest.raises(ResourceCapError, match=f"~{steps} steps exceeds cap {steps - 1}"):
+        representation_count(six, 2000, cell_cap=steps - 1)
+    assert representation_count(six, 2000, cell_cap=steps) == 66_601_392
+
+
 def test_count_on_the_empty_lattice():
     X = ShiftedDiagonalLattice((), 0, 1)
     assert representation_count(X, 0) == 1

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_oracles as ref
+from mgonal import polygonal
 from mgonal import (
     PolygonalForm,
     RepresentationSet,
     ResourceCapError,
     extend_set,
+    guy_form,
     polygonal_value,
     polygonal_values_up_to,
     represented_set,
@@ -113,9 +115,13 @@ def test_form_rejects_bad_coefficients():
 def test_extend_appends_and_keeps_sortedness():
     f = PolygonalForm(6, (1, 3))
     assert f.extend(3).coeffs == (1, 3, 3)
-    assert f.extend(7).coeffs == (1, 3, 7)
-    with pytest.raises(ValueError):
+    assert f.extend(7) == PolygonalForm(6, (1, 3, 7))
+    assert PolygonalForm(6, ()).extend(2) == PolygonalForm(6, (2,))
+    with pytest.raises(ValueError, match="coefficients must be sorted ascending"):
         f.extend(2)
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(ValueError, match="coefficients must be positive integers, got"):
+            f.extend(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +184,98 @@ def test_extend_set_agrees_with_rebuilding(m, coeffs, extra, bound):
     extended = extend_set(base, m, extra)
     rebuilt = represented_set(form.extend(extra), bound)
     assert extended == rebuilt
+
+
+def _assert_matches_naive(rep, m, coeffs, bound):
+    expected = ref.represented(m, coeffs, bound)
+    gaps = [k for k in range(bound + 1) if k not in expected]
+    # values() last: it builds the bits of a set held by its missing list
+    assert rep.count() == len(expected)
+    assert rep.missing() == gaps
+    assert rep.truant() == ref.naive_truant(m, coeffs, bound)
+    assert [k for k in range(-2, bound + 3) if k in rep] == sorted(expected)
+    assert rep.values() == sorted(expected)
+
+
+_FORMS_ACROSS_THE_SWITCH = st.one_of(
+    # many small coefficients at small bounds end up missing only a few values
+    st.tuples(
+        st.integers(min_value=3, max_value=12),
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=12).map(
+            lambda c: tuple(sorted(c))
+        ),
+    ),
+    # prefixes of single-gap forms miss many values, then a few, then one
+    st.tuples(
+        st.integers(min_value=6, max_value=14), st.integers(min_value=1, max_value=40)
+    ).flatmap(
+        lambda mk: st.integers(min_value=1, max_value=mk[0] - 4).map(
+            lambda ell: (mk[0], guy_form(mk[0], ell).form.coeffs[: mk[1]])
+        )
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FORMS_ACROSS_THE_SWITCH, st.integers(min_value=0, max_value=300))
+def test_both_fold_forms_match_naive(form, bound):
+    m, coeffs = form
+    rep = represented_set(PolygonalForm(m, coeffs), bound)
+    _assert_matches_naive(rep, m, coeffs, bound)
+    # the same content held as a bitset, which is folded densely until it
+    # is found to miss only a few values
+    as_bits = RepresentationSet(bound, rep.bits)
+    assert as_bits == rep and hash(as_bits) == hash(rep)
+    _assert_matches_naive(as_bits, m, coeffs, bound)
+    extra = coeffs[-1] + 1
+    assert extend_set(as_bits, m, extra) == extend_set(rep, m, extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=6, max_value=14),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=50, max_value=300),
+)
+def test_extend_set_from_a_sparse_parent_agrees_with_rebuilding(m, ell, extra, bound):
+    coeffs = guy_form(m, min(ell, m - 4)).form.coeffs
+    parent = represented_set(PolygonalForm(m, coeffs), bound)
+    assert len(parent.missing()) <= polygonal.SPARSE_MISSING
+    child = PolygonalForm(m, coeffs).extend(coeffs[-1] + extra)
+    extended = extend_set(parent, m, child.coeffs[-1])
+    assert extended == represented_set(child, bound)
+    _assert_matches_naive(extended, m, child.coeffs, bound)
+
+
+def test_folds_cross_the_sparse_switch():
+    # one fold at a time along a single-gap form: the missing count falls
+    # through the switch and ends at the designed gap
+    gf = guy_form(12, 5)
+    bound = 400
+    rep = represented_set(PolygonalForm(12, ()), bound)
+    counts = []
+    for j, a in enumerate(gf.form.coeffs):
+        rep = extend_set(rep, 12, a)
+        counts.append(len(rep.missing()))
+        _assert_matches_naive(rep, 12, gf.form.coeffs[: j + 1], bound)
+    assert counts[0] > polygonal.SPARSE_MISSING >= counts[-1]
+    assert rep.missing() == [5]
+    assert rep == represented_set(gf.form, bound)
+
+
+def test_sparse_set_from_bits_folds_like_its_content():
+    # bits with a handful of gaps, built by hand, fold on the gap list
+    rep = RepresentationSet(20, ((1 << 21) - 1) ^ (1 << 7) ^ (1 << 8) ^ (1 << 19))
+    assert rep.missing() == [7, 8, 19] and rep.truant() == 7 and rep.count() == 18
+    assert 8 not in rep and 9 in rep
+    # adding P_5 values {0, 1, 2, 5, 7, 12, 15} once: 7 = 6 + 1, 8 = 6 + 2,
+    # 19 = 18 + 1
+    assert extend_set(rep, 5, 1).missing() == []
+    # adding 4 * P_5 = {0, 4, 8, 20}: 7 - 4 = 3, 8 - 8 = 0, 19 - 4 = 15
+    assert extend_set(rep, 5, 4) == RepresentationSet(20, (1 << 21) - 1)
+    # adding 10 * P_5 = {0, 10, 20}: 7 and 8 stay out of reach, 19 - 10 = 9
+    assert extend_set(rep, 5, 10).missing() == [7, 8]
 
 
 def test_extend_set_rejects_nonpositive_coefficient():
