@@ -146,10 +146,7 @@ def _cmd_gamma(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_density(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        X = lattice.ShiftedDiagonalLattice(tuple(args.gram), args.c, args.N)
-    except ValueError as exc:
-        parser.error(str(exc))
+    X = lattice.ShiftedDiagonalLattice(tuple(args.gram), args.c, args.N)
     for p in args.p:
         if not localdensity._is_prime(p):
             parser.error(f"--p entries must be prime, got {p}")
@@ -186,10 +183,7 @@ def _cmd_density(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_guy(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        gf = constructions.guy_form(args.m, args.ell)
-    except ValueError as exc:
-        parser.error(str(exc))
+    gf = constructions.guy_form(args.m, args.ell)
     if args.bound < args.ell:
         parser.error("bound must be at least ell")
     report = constructions.verify_guy(gf, args.bound)
@@ -207,10 +201,7 @@ def _cmd_guy(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_tau(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        value = localdensity.tau_gauss_sum(args.p, args.t, args.alpha, args.N, args.c)
-    except ValueError as exc:
-        parser.error(str(exc))
+    value = localdensity.tau_gauss_sum(args.p, args.t, args.alpha, args.N, args.c)
     expected = localdensity.tau_lemma_value(args.p, args.t, args.N)
     line = (
         f"tau p={args.p} t={args.t} alpha={args.alpha} N={args.N} c={args.c}: "
@@ -239,6 +230,8 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return RESOURCE_EXIT
+    except ValueError as exc:  # the library's checks of user input
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ so every truant is a certificate that universal forms must represent it.
 
 Trees are bounded twice over: representation testing is relative to a bound
 B (so "universal" leaves are B-universal, an empirical flag), and expansion
-stops at max_depth.  A tree is *complete* when every unexpanded node is
-B-universal; only then is the gamma estimate an empirical value rather than
-a lower bound.
+stops at max_depth.  A tree is *complete* when every node that is not
+B-universal has its whole escalation range as children; only then is the
+gamma estimate an empirical value rather than a lower bound.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class EscalatorNode:
     def depth(self) -> int:
         return self.form.n
 
-    @property
-    def universal(self) -> bool:
-        return self.truant is None
-
 
 @dataclass
 class EscalatorTree:
@@ -57,25 +53,41 @@ class EscalatorTree:
     bound: int
     max_depth: int
     nodes: list[EscalatorNode]  # breadth-first order, root first
-    gamma_estimate: int  # largest truant; only a lower bound unless complete
-    complete: bool
 
     @property
     def root(self) -> EscalatorNode:
         return self.nodes[0]
 
+    @property
+    def gamma_estimate(self) -> int:
+        """Largest truant; only a lower bound unless complete.  The root's
+        truant, 1, keeps the maximum defined."""
+        return max(n.truant for n in self.nodes if n.truant is not None)
+
+    @property
+    def complete(self) -> bool:
+        """Whether every node that is not B-universal has a child for each
+        coefficient of its escalation range."""
+        return all(
+            n.truant is None or len(n.children) == len(_escalation_range(n))
+            for n in self.nodes
+        )
+
+
+def _escalation_range(node: EscalatorNode) -> range:
+    """Coefficients that escalate a node with a truant t: from its last
+    coefficient (1 for the empty form) up to t.  Each k in the range
+    represents t as (t - k) + k * P_m(1), with P_m(1) = 1."""
+    lo = node.form.coeffs[-1] if node.form.coeffs else 1
+    return range(lo, node.truant + 1)
+
 
 def escalate(node: EscalatorNode) -> list[PolygonalForm]:
-    """All one-coefficient extensions of node's form that represent its truant.
-
-    Coefficients run from the last coefficient (or 1 for the empty form) up
-    to the truant, in ascending order.
-    """
+    """All one-coefficient extensions of node's form that represent its
+    truant, in ascending coefficient order."""
     if node.truant is None:
         raise ValueError("cannot escalate a universal node (no truant)")
-    lo = node.form.coeffs[-1] if node.form.coeffs else 1
-    # Each k in [lo, t] represents t as (t - k) + k * P_m(1), with P_m(1) = 1.
-    return [node.form.extend(k) for k in range(lo, node.truant + 1)]
+    return [node.form.extend(k) for k in _escalation_range(node)]
 
 
 def build_tree(
@@ -114,24 +126,13 @@ def build_tree(
                     raise ResourceCapError(
                         f"escalator tree for m={m} exceeded node cap {node_cap}"
                     )
-                return _finish(m, bound, max_depth, nodes)
+                return EscalatorTree(m, bound, max_depth, nodes)
             child_rep = extend_set(rep, m, form.coeffs[-1])
             child = EscalatorNode(form, child_rep.truant())
             node.children.append(child)
             nodes.append(child)
             queue.append((child, child_rep))
-    return _finish(m, bound, max_depth, nodes)
-
-
-def _finish(
-    m: int, bound: int, max_depth: int, nodes: list[EscalatorNode]
-) -> EscalatorTree:
-    """The tree over nodes (breadth-first, root first) with its largest truant
-    and whether every node without children is B-universal.  The root's
-    truant, 1, keeps the maximum defined."""
-    gamma = max(n.truant for n in nodes if n.truant is not None)
-    complete = all(n.truant is None or n.children for n in nodes)
-    return EscalatorTree(m, bound, max_depth, nodes, gamma, complete)
+    return EscalatorTree(m, bound, max_depth, nodes)
 
 
 def min_leaf_depth(tree: EscalatorTree) -> int | None:
@@ -261,9 +262,7 @@ def deserialize_tree(text: str) -> EscalatorTree:
             extends = child.form.n == parent.form.n + 1
             if not extends or child.form.coeffs[:-1] != parent.form.coeffs:
                 raise _parse_error(path, "child does not extend parent by one coefficient")
-            last = child.form.coeffs[-1]
-            floor = parent.form.coeffs[-1] if parent.form.coeffs else 1
-            if not floor <= last <= parent.truant:
+            if child.form.coeffs[-1] not in _escalation_range(parent):
                 raise _parse_error(path, "child coefficient outside the escalation range")
         parent.children.extend(parsed[k] for k in sorted(kids))  # ascending, as build_tree
 
@@ -272,4 +271,4 @@ def deserialize_tree(text: str) -> EscalatorTree:
     if sum(map(len, child_indices)) != len(parsed) - 1:
         raise _parse_error("nodes", "some nodes are unreachable from the root")
     # breadth-first order as build_tree makes it: lexicographic within a depth
-    return _finish(m, bound, max_depth, sorted(parsed, key=lambda n: n.depth))
+    return EscalatorTree(m, bound, max_depth, sorted(parsed, key=lambda n: n.depth))

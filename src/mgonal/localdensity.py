@@ -452,17 +452,14 @@ def siegel_count_density(
     h: Fraction | int,
     t: int,
     *,
-    c: int = 0,
     N: int = 1,
     modulus_cap: int = DEFAULT_ORACLE_MODULUS_CAP,
 ) -> Density:
-    """Counting route: #{x mod p^t : q(x+shift) = h} / p^((n-1)*t).
+    """Counting route: #{x mod p^t : q(x) = h} / p^((n-1)*t).
 
-    Only defined away from the conductor (p must not divide N); there the
-    shift c/N reduces to an element of Z_p and translating x by it is a
-    bijection of residues, so the count does not depend on the shift at
-    all.  The returned Density carries stabilized=True iff the ratio is
-    identical at t, t+1 and t+2.
+    Only defined away from the conductor (p must not divide N).  The
+    returned Density carries stabilized=True iff the ratio is identical at
+    t, t+1 and t+2.
     """
     _check_prime(p)
     if t < 1:
@@ -471,8 +468,6 @@ def siegel_count_density(
         raise WrongDispatchError(
             f"counting oracle undefined at p={p} dividing the conductor N={N}"
         )
-    if math.gcd(c, N) != 1:
-        raise ValueError("c must be coprime to N")
     gram = tuple(source.gram()) if isinstance(source, JordanDecomposition) else tuple(source)
     if not gram:
         raise ValueError("gram must be nonempty")
@@ -530,9 +525,11 @@ def _oracle_check(
     X: ShiftedDiagonalLattice, h: Fraction, p: int, value: Fraction
 ) -> tuple[Density, bool]:
     """Formula value versus the counting oracle at the stabilization
-    threshold: the oracle's Density and whether it stabilized at value."""
+    threshold: the oracle's Density and whether it stabilized at value.
+    Away from p | N the shift c/N is in Z_p and translating x by it is a
+    bijection of residues, so the lattice's count is that of its gram."""
     t = stabilization_threshold(p, X.gram, h)
-    oracle = siegel_count_density(p, X.gram, h, t, c=X.c, N=X.N)
+    oracle = siegel_count_density(p, X.gram, h, t, N=X.N)
     return oracle, bool(oracle.stabilized and oracle.value == value)
 
 

@@ -62,15 +62,14 @@ def polygonal_values_up_to(m: int, bound: int) -> list[int]:
 
 @lru_cache(maxsize=4096)
 def _values_up_to(m: int, bound: int) -> tuple[int, ...]:
+    """polygonal_values_up_to for an m its callers have checked (m = 2 would
+    never end the walk), evaluating P_m without checking each index."""
     vals = set()
-    x = 0
-    while (v := polygonal_value(m, x)) <= bound:
-        vals.add(v)
-        x += 1
-    x = -1
-    while (v := polygonal_value(m, x)) <= bound:
-        vals.add(v)
-        x -= 1
+    for step in (1, -1):
+        x = 0
+        while (v := ((m - 2) * x * x - (m - 4) * x) // 2) <= bound:
+            vals.add(v)
+            x += step
     return tuple(sorted(vals))
 
 
@@ -300,8 +299,8 @@ def represented_set(
 def extend_set(rep: RepresentationSet, m: int, coeff: int) -> RepresentationSet:
     """Represented set of a form extended by one coefficient, reusing the
     parent's set (the escalator builder leans on this)."""
-    if coeff < 1:
-        raise ValueError("coefficient must be a positive integer")
+    _check_m(m)
+    _check_coeff(coeff)
     return _fold(rep, m, coeff)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -64,6 +65,13 @@ def test_gamma_lower_bound_line_when_capped(capsys):
     assert re.match(r"gamma_14 >= \d+ \(lower bound;", line)
 
 
+def test_gamma_lower_bound_line_when_the_node_cap_stops_the_tree(capsys):
+    # 13 of the 18 nodes: node (1, 1, 3) has only one of its six children
+    assert main(["gamma", "--m", "3", "--bound", "2000", "--node-cap", "13"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("gamma_3 >= 8 (lower bound; tree incomplete at")
+
+
 def test_density_closed_form_csv(capsys):
     assert main(["density", "--gram", "1,1,1", "--N", "3", "--c", "1",
                  "--p", "3", "--h", "1..12"]) == 0
@@ -117,6 +125,8 @@ def test_density_usage_errors():
                         "--p", "3"])
     expect_usage_error(["density", "--gram", "1,1,1,1", "--p", "3",
                         "--h", "9..8"])
+    # gcd 2: local_density refuses it, the CLI has no check of its own
+    expect_usage_error(["density", "--gram", "2,4,6,8", "--p", "3", "--h", "8"])
 
 
 def test_guy_pass(capsys):
@@ -153,3 +163,38 @@ def test_tau_off_conductor_has_no_closed_value(capsys):
 
 def test_tau_usage_error_for_non_unit_alpha():
     expect_usage_error(["tau", "--p", "3", "--t", "1", "--alpha", "3", "--N", "3"])
+
+
+# ---------------------------------------------------------------------------
+# byte-level pins: sha256 of stdout and of stderr, and the exit code
+
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+CLI_GOLDEN = [
+    (["gamma", "--m", "13", "--bound", "20000"],
+     "65564f9373755714f6eef3c6c454c70a3e889c5fd813d1141077943c4a6c9781", EMPTY_SHA256, 0),
+    (["guy", "--m", "30", "--ell", "26", "--bound", "100000"],
+     "9b841e3d2c17f73faf978edddc8cf48d3189bbf5422de1cf548e0f50f16fe94c", EMPTY_SHA256, 0),
+    (["density", "--gram", "1,1,1,2,3,5", "--p", "2,3,5,7", "--h", "8,24,88", "--strict"],
+     "f7c668933ae59d158580fbe915aec1ab9675be6b218ffcec252c1c83cae838a9", EMPTY_SHA256, 0),
+    (["density", "--gram", "1,1,1,256", "--p", "2", "--h", "8"],
+     EMPTY_SHA256, "5e98a514f9eb1e99d299dc6172c7552217fa7612614e1cf68917b3ff0cb7e241",
+     RESOURCE_EXIT),
+    (["tree", "--m", "5", "--bound", "2000"],
+     "244268e4733dd4424f286740671affc64b0aa828bcd7c434599e74f8a3501ffb", EMPTY_SHA256, 0),
+    (["tau", "--p", "3", "--t", "2", "--N", "3", "--c", "1"],
+     "eb9c0cc0b83b0dd413130eb5e136cf012aa6abcac74d9890dbec533e4fed9915", EMPTY_SHA256, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, out_sha256, err_sha256, code", CLI_GOLDEN,
+    ids=[" ".join(argv) for argv, *_ in CLI_GOLDEN],
+)
+def test_cli_output_is_pinned_byte_for_byte(argv, out_sha256, err_sha256, code, capsys):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+    assert (digests, got) == ([out_sha256, err_sha256], code)

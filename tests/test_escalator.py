@@ -95,6 +95,17 @@ def test_node_cap_error_and_truncate():
     assert not tree.complete
 
 
+def test_a_tree_stopped_by_the_node_cap_is_incomplete():
+    # the full tree has 18 nodes; under caps 13..17 node (1, 1, 3), truant 8,
+    # gets only some of its six children
+    for cap in range(1, 18):
+        tree = build_tree(3, max_depth=12, bound=2000, node_cap=cap, on_cap="truncate")
+        assert len(tree.nodes) == cap
+        assert not tree.complete, cap
+        assert not deserialize_tree(serialize_tree(tree)).complete, cap
+    assert build_tree(3, max_depth=12, bound=2000, node_cap=18, on_cap="truncate").complete
+
+
 def test_on_cap_value_is_validated():
     with pytest.raises(ValueError):
         build_tree(3, max_depth=2, bound=100, on_cap="ignore")

@@ -280,8 +280,11 @@ def test_sparse_set_from_bits_folds_like_its_content():
 
 def test_extend_set_rejects_nonpositive_coefficient():
     base = represented_set(PolygonalForm.of(3, 1), 10)
-    with pytest.raises(ValueError):
-        extend_set(base, 3, 0)
+    for coeff in (0, -1, 1.5, True):
+        with pytest.raises(ValueError, match="coefficients must be positive integers"):
+            extend_set(base, 3, coeff)
+    with pytest.raises(ValueError, match="number of sides"):
+        extend_set(base, 2, 1)  # P_2(x) = x: the negative walk would never end
 
 
 def test_bit_cap_is_enforced():
