@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polygonal import PolygonalForm, represented_set
+from .polygonal import PolygonalForm, _check_int, represented_set
 
 DEFAULT_GUY_BOUND = 5000
 
@@ -43,6 +43,8 @@ class GuyReport:
 
 def guy_form(m: int, ell: int) -> GuyForm:
     """The almost-universal form with its designed gap at ell."""
+    _check_int(m, "m")
+    _check_int(ell, "ell")
     if m < 6:
         raise ValueError("construction needs m >= 6")
     if not 1 <= ell <= m - 4:
@@ -53,6 +55,7 @@ def guy_form(m: int, ell: int) -> GuyForm:
 
 def verify_guy(gf: GuyForm, bound: int = DEFAULT_GUY_BOUND) -> GuyReport:
     """Check the represented set on [0, bound] misses exactly {ell}."""
+    _check_int(bound, "bound")
     rep = represented_set(gf.form, bound)
     missing = tuple(rep.missing())
     return GuyReport(gf.m, gf.ell, bound, missing, missing == (gf.ell,))
@@ -61,6 +64,8 @@ def verify_guy(gf: GuyForm, bound: int = DEFAULT_GUY_BOUND) -> GuyReport:
 def lower_bound_witness(m: int, ell: int) -> bool:
     """True iff ell-1 unit coefficients fail to represent ell (they always
     do for ell <= m - 4: available sums below m - 3 top out at ell - 1)."""
+    _check_int(m, "m")
+    _check_int(ell, "ell")
     if m < 6:
         raise ValueError("witnesses are stated for m >= 6")
     if not 1 <= ell <= m - 4:

@@ -28,6 +28,7 @@ from .polygonal import (
     DEFAULT_BOUND,
     PolygonalForm,
     RepresentationSet,
+    _check_int,
     extend_set,
     represented_set,
 )
@@ -105,6 +106,9 @@ def build_tree(
     ResourceCapError while on_cap="truncate" stops expanding and returns the
     (incomplete) partial tree.
     """
+    _check_int(max_depth, "max_depth")
+    _check_int(bound, "bound")
+    _check_int(node_cap, "node_cap")
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     if bound < 1:

@@ -10,7 +10,9 @@ Two independent routes are kept deliberately separate:
 * a counting oracle: the density is the stabilized value of
   #{x mod p^t : q(x) = h mod p^t} / p^((n-1)*t).  As x -> s*x shows, the
   count at v is unchanged when v is scaled by a unit square s^2, so counts
-  are convolved class by class through tables built by visiting residues.
+  are convolved class by class.  The class tables of Z/p^t are built level
+  by level from those of Z/p^(t-1), through x -> p*x and the lifts of units
+  mod p^min(t, 3) (mod p for odd p), without visiting the p^t residues.
 
 The twain meet only in tests and in explicit cross-check flags; neither
 route falls back to the other.
@@ -28,11 +30,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import add
 
 from .errors import InternalConsistencyError, ResourceCapError, WrongDispatchError
 from .lattice import ShiftedDiagonalLattice, admissible
+from .polygonal import _check_int
 
 DEFAULT_ORACLE_MODULUS_CAP = 1 << 18
 
@@ -189,6 +190,7 @@ def tau_gauss_sum(p: int, t: int, alpha: int, N: int, c: int) -> complex:
     output; every exact code path avoids this function.
     """
     _check_prime(p)
+    _check_int(t, "t")
     if t < 1:
         raise ValueError("t must be >= 1")
     if alpha % p == 0:
@@ -390,39 +392,81 @@ def _square_class(v: int, p: int, t: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=64)
+def _level(p: int, t: int) -> tuple[dict, tuple, tuple, tuple, tuple]:
+    """(index, reps, pairs, sizes, squares) for Z/p^t, built from the levels
+    below without visiting the p^t residues.
+
+    Classes are numbered by descending valuation, zero first and units last,
+    so x -> p*x carries class i of Z/p^(t-1) onto class i of Z/p^t (key
+    (k, u) to (k + 1, u)) and the unit classes follow.  A unit's class is
+    fixed by its residue mod q = p^min(t, 3) at p = 2 and mod q = p for odd
+    p, and each unit mod q lifts to p^t / q units mod p^t.  reps[C] is one
+    element of class C, sizes[C] its number of elements, squares[C] the
+    number of x with x^2 in class C, and pairs is as in _class_tables.
+    """
+    if t == 0:
+        return {(0, 0): 0}, (0,), (((0, 0, 1),),), (1,), (1,)
+    index, reps, pairs, sizes, _ = _level(p, t - 1)
+    q = p ** min(t, 3 if p == 2 else 1)
+    lift = p**t // q
+    index = {(k + 1, u): i for (k, u), i in index.items()}
+    low = len(index)  # the classes of positive valuation
+    reps = [p * r for r in reps]
+    unit = {}  # unit residue mod q -> its class
+    for w in range(1, q):
+        if w % p:
+            key = _square_class(w, p, t)
+            if key not in index:
+                index[key] = len(index)
+                reps.append(w)
+            unit[w] = index[key]
+    sizes = list(sizes) + [0] * (len(index) - low)
+    for c in unit.values():
+        sizes[c] += lift
+
+    def unit_pairs(r: int) -> tuple:
+        """The units w with r - w a unit, in lifts of the units w mod q."""
+        found = Counter((i, unit[(r - w) % q]) for w, i in unit.items() if (r - w) % p)
+        return tuple((i, j, n * lift) for (i, j), n in found.items())
+
+    # These pairs depend on r mod q only, which the class of r fixes.
+    tails = {r: unit_pairs(r) for r in {x % q for x in reps}}
+    # r = p*r': the w = p*w' with w' mod p^(t-1) give the row of r' one
+    # level down, and every unit w leaves the unit r - w.
+    rows = [pairs[C] + tails[reps[C] % q] for C in range(low)]
+    # r a unit: a class c of positive valuation fixes x mod q, so r - x lies
+    # in one unit class j for all |c| elements x of c; w -> r - w mirrors it.
+    for r in reps[low:]:
+        mixed = []
+        for c in range(low):
+            j = unit[(r - reps[c]) % q]
+            mixed += (c, j, sizes[c]), (j, c, sizes[c])
+        rows.append(tuple(mixed) + tails[r % q])
+    # x = p*x' gives x^2 = p^2*x'^2, and x' mod p^(t-1) covers each residue
+    # mod p^(t-2) p times; at t = 1 only x = 0 is left.
+    squares = [p * n for n in _level(p, t - 2)[4]] if t > 1 else [1]
+    squares += [0] * (len(index) - len(squares))
+    for w in unit:
+        squares[unit[w * w % q]] += lift
+    return index, tuple(reps), tuple(rows), tuple(sizes), tuple(squares)
+
+
+@lru_cache(maxsize=64)
 def _class_tables(p: int, t: int) -> tuple[dict, tuple, tuple]:
     """(index, pairs, coordinates) for Z/p^t: index numbers the classes;
     for a representative r of class C, pairs[C] lists (i, j, n) with n the
     number of w in class i with r - w in class j; coordinates[c][C] counts
     the x with a*x^2 equal to one element of class C, a in class c."""
+    index, reps, pairs, sizes, squares = _level(p, t)
     M = p**t
-    index: dict[tuple[int, int], int] = {}
-    cls = [0] * M
-    for k in range(t):
-        # p^k * u for a unit u is classed by u mod p (u mod 8 for p = 2); the
-        # multiples of p^(k+1) are set again by the next pass.
-        period = min(p ** (t - k), 8 if p == 2 else p)
-        pattern = [index.setdefault(_square_class(u * p**k, p, t), len(index))
-                   for u in range(period)]
-        cls[:: p**k] = pattern * (p ** (t - k) // period)
-    K = len(index)
-    reps = [cls.index(c) for c in range(K)]
-    # The pair (class of w, class of r - w) is counted as one integer.
-    scaled = [c * K for c in cls]
-    pairs = tuple(
-        tuple((*divmod(ij, K), n)
-              for ij, n in Counter(map(add, scaled, cls[r::-1] + cls[:r:-1])).items())
-        for r in reps
-    )
-    # a*x^2 is in the class of a*rep(class of x^2): one count serves every a.
-    squares = Counter(map(cls.__getitem__, map(pow, range(M), repeat(2), repeat(M))))
-    sizes = Counter(cls)
     coordinates = []
     for a in reps:
-        totals = Counter()
-        for c, n in squares.items():
-            totals[cls[a * reps[c] % M]] += n
-        coordinates.append(tuple(totals[C] // sizes[C] for C in range(K)))
+        # a*x^2 is in the class of a*rep(class of x^2).
+        totals = [0] * len(reps)
+        for c, n in enumerate(squares):
+            if n:
+                totals[index[_square_class(a * reps[c] % M, p, t)]] += n
+        coordinates.append(tuple(total // size for total, size in zip(totals, sizes)))
     return index, pairs, tuple(coordinates)
 
 
@@ -462,6 +506,7 @@ def siegel_count_density(
     t, t+1 and t+2.
     """
     _check_prime(p)
+    _check_int(t, "t")
     if t < 1:
         raise ValueError("t must be >= 1")
     if N % p == 0:

@@ -55,6 +55,7 @@ def polygonal_values_up_to(m: int, bound: int) -> list[int]:
     each direction, so each walk stops at the first overshoot.
     """
     _check_m(m)
+    _check_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     return list(_values_up_to(m, bound))
@@ -76,6 +77,11 @@ def _values_up_to(m: int, bound: int) -> tuple[int, ...]:
 def _check_m(m: int) -> None:
     if not isinstance(m, int) or m < 3:
         raise ValueError(f"number of sides m must be an integer >= 3, got {m!r}")
+
+
+def _check_int(value: int, name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -284,6 +290,7 @@ def represented_set(
     form: PolygonalForm, bound: int, *, bit_cap: int = DEFAULT_BIT_CAP
 ) -> RepresentationSet:
     """All integers in [0, bound] represented by the form."""
+    _check_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if bound + 1 > bit_cap:
@@ -310,6 +317,7 @@ def truant(form: PolygonalForm, bound: int) -> int | None:
     Returns None when the form represents all of [1, bound] ("B-universal";
     an empirical statement about [1, bound] only).
     """
+    _check_int(bound, "bound")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     return represented_set(form, bound).truant()

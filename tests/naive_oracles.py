@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 
@@ -74,6 +75,30 @@ def residue_density(p: int, t: int, gram: tuple[int, ...], h) -> Fraction:
         if sum(a * x * x for a, x in zip(gram, vec)) % M == target:
             count += 1
     return Fraction(count, M ** (len(gram) - 1))
+
+
+def square_class_tables(p: int, t: int) -> tuple[list[int], dict, dict]:
+    """(orbit, pairs, coordinates) for Z/p**t, by visiting every residue.
+
+    orbit[v] is the smallest element of v's orbit under multiplication by
+    the unit squares mod p**t, and serves as the class key.  For keys r, i,
+    j, a and C: pairs[r][(i, j)] counts the w with orbit[w] = i and
+    orbit[r - w] = j, and coordinates[a][C] counts the x with a*x*x = C.
+    """
+    M = p**t
+    unit_squares = {s * s % M for s in range(M) if s % p}
+    orbit = [-1] * M
+    for v in range(M):
+        if orbit[v] < 0:  # v is the smallest of its orbit
+            for s in unit_squares:
+                orbit[s * v % M] = v
+    keys = sorted(set(orbit))
+    pairs = {r: Counter((orbit[w], orbit[(r - w) % M]) for w in range(M)) for r in keys}
+    coordinates = {}
+    for a in keys:
+        values = Counter(a * x * x % M for x in range(M))
+        coordinates[a] = {C: values[C] for C in keys}
+    return orbit, pairs, coordinates
 
 
 def quaternary_figure() -> list[tuple[int, int, int, int]]:

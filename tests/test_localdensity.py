@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import naive_oracles as ref
+from mgonal import localdensity
 from mgonal import (
     ConformanceRow,
     Density,
@@ -186,6 +188,33 @@ def test_oracle_matches_naive_residue_counting(p, t, gram, targets):
         assert fast == ref.residue_density(p, t, gram, h)
 
 
+@pytest.mark.parametrize(
+    "p,t",
+    [(2, t) for t in range(1, 13)]
+    + [(3, t) for t in range(1, 8)]
+    + [(5, t) for t in range(1, 6)]
+    + [(7, t) for t in range(1, 5)],
+)
+def test_class_tables_match_per_residue_counts(p, t):
+    index, pairs, coordinates = localdensity._class_tables(p, t)
+    orbit, ref_pairs, ref_coordinates = ref.square_class_tables(p, t)
+    # Each class of the table must be exactly one unit-square orbit.
+    number = {}
+    for v in range(p**t):
+        C = index[localdensity._square_class(v, p, t)]
+        assert number.setdefault(orbit[v], C) == C
+    assert sorted(number.values()) == list(range(len(index)))
+    for r, counts in ref_pairs.items():
+        row = Counter()
+        for i, j, n in pairs[number[r]]:
+            row[i, j] += n
+        assert row == {(number[i], number[j]): n for (i, j), n in counts.items()}
+    for a, counts in ref_coordinates.items():
+        assert coordinates[number[a]] == tuple(
+            n for _, n in sorted((number[C], n) for C, n in counts.items())
+        )
+
+
 def test_oracle_stabilizes_at_the_threshold():
     gram = (1, 1, 1, 3)
     t = stabilization_threshold(3, gram, 1)
@@ -250,6 +279,17 @@ def test_yang_formulas_match_the_stabilized_oracle(p, gram, h):
     oracle = siegel_count_density(p, gram, h, t)
     assert oracle.stabilized
     assert formula.value == oracle.value
+
+
+@pytest.mark.parametrize("gram", [(1, 1, 1, 32), (1, 3, 5, 32), (1, 1, 3, 5, 7, 32)])
+@pytest.mark.parametrize("h", [8, 24, 40])
+def test_yang_two_matches_the_oracle_at_the_cap(gram, h):
+    # t = 16, so the oracle's largest modulus 2^18 is the default cap.
+    t = stabilization_threshold(2, gram, h)
+    assert 2 ** (t + 2) == localdensity.DEFAULT_ORACLE_MODULUS_CAP
+    oracle = siegel_count_density(2, gram, h, t)
+    assert oracle.stabilized
+    assert oracle.value == yang_density_two(jordan_decompose(2, gram), h).value
 
 
 # ---------------------------------------------------------------------------

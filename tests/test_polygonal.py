@@ -10,8 +10,13 @@ from mgonal import (
     PolygonalForm,
     RepresentationSet,
     ResourceCapError,
+    build_tree,
     extend_set,
     guy_form,
+    lower_bound_witness,
+    siegel_count_density,
+    tau_gauss_sum,
+    verify_guy,
     polygonal_value,
     polygonal_values_up_to,
     represented_set,
@@ -122,6 +127,28 @@ def test_extend_appends_and_keeps_sortedness():
     for bad in (0, -1, True, 2.0):
         with pytest.raises(ValueError, match="coefficients must be positive integers, got"):
             f.extend(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: polygonal_values_up_to(5, x),
+        lambda x: represented_set(PolygonalForm(5, (1, 2)), x),
+        lambda x: truant(PolygonalForm(5, (1, 2)), x),
+        lambda x: build_tree(3, 2, x),
+        lambda x: build_tree(3, x, 100),
+        lambda x: build_tree(3, 2, 100, node_cap=x),
+        lambda x: verify_guy(guy_form(10, 5), x),
+        lambda x: guy_form(4 * x, 5),
+        lambda x: guy_form(10, 2 * x),
+        lambda x: lower_bound_witness(10, 2 * x),
+        lambda x: siegel_count_density(3, (1, 1, 1, 1), 1, x),
+        lambda x: tau_gauss_sum(3, x, 1, 3, 1),
+    ],
+)
+def test_sizes_and_bounds_must_be_integers(call):
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        call(2.5)
 
 
 # ---------------------------------------------------------------------------
