@@ -139,12 +139,6 @@ def build_tree(
     return EscalatorTree(m, bound, max_depth, nodes)
 
 
-def min_leaf_depth(tree: EscalatorTree) -> int | None:
-    """Depth of the shallowest B-universal node, or None if there is none."""
-    depths = [n.depth for n in tree.nodes if n.truant is None]
-    return min(depths) if depths else None
-
-
 def serialize_tree(tree: EscalatorTree) -> str:
     """Deterministic JSON document for a tree.
 

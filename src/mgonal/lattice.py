@@ -23,9 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, ResourceCapError
-from .polygonal import PolygonalForm, represented_set
+from .polygonal import PolygonalForm, _check_int, represented_set
 
 DEFAULT_CELL_CAP = 10**8
+
+
+def _check_gram(gram) -> tuple[int, ...]:
+    """gram as a tuple, once each entry is a positive integer (not a bool)."""
+    gram = tuple(gram)
+    for a in gram:
+        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+            raise ValueError(f"gram entries must be positive integers, got {a!r}")
+    return gram
 
 
 def shift_fraction(m: int) -> Fraction:
@@ -49,11 +58,9 @@ class ShiftedDiagonalLattice:
     N: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.gram, tuple):
-            object.__setattr__(self, "gram", tuple(self.gram))
-        for a in self.gram:
-            if not isinstance(a, int) or a < 1:
-                raise ValueError(f"gram entries must be positive integers, got {a!r}")
+        object.__setattr__(self, "gram", _check_gram(self.gram))
+        _check_int(self.c, "c")
+        _check_int(self.N, "N")
         if self.N < 1 or not (0 <= self.c < self.N):
             raise ValueError("need 0 <= c < N with N >= 1")
         if math.gcd(self.c, self.N) != 1:
@@ -87,6 +94,7 @@ def h_of_ell(form: PolygonalForm, ell: int) -> Fraction:
 
     Strictly increasing in ell; h(0) equals the squared-shift constant.
     """
+    _check_int(ell, "ell")
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     s = shift_fraction(form.m)
@@ -103,21 +111,16 @@ def admissible(X: ShiftedDiagonalLattice, h: Fraction | int) -> bool:
     return val.denominator == 1
 
 
-def representation_count(
-    X: ShiftedDiagonalLattice,
-    h: Fraction | int,
-    *,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> int:
+def representation_count(X: ShiftedDiagonalLattice, h: Fraction | int) -> int:
     """Number of integer vectors lambda with sum(a_j*(lambda_j - c/N)**2) = h.
 
     Clearing denominators, count y_j = N*lambda_j - c (so y_j = -c mod N)
     with sum(a_j * y_j**2) = H = h * N**2.  The count walks remainders
     H - sum(a_j * y_j**2) one coefficient at a time, so prefixes that leave
     the same remainder are walked once, and the last coefficient is a
-    single square test per remainder.  cell_cap bounds the walk's steps
-    (axis points walked plus square tests), checked before any work is
-    done.
+    single square test per remainder.  DEFAULT_CELL_CAP bounds the walk's
+    steps (axis points walked plus square tests), checked before any work
+    is done.
     """
     h = Fraction(h)
     if h < 0:
@@ -144,9 +147,9 @@ def representation_count(
         steps += reach * length
         reach = min(H + 1, reach * length)
     steps += reach
-    if steps > cell_cap:
+    if steps > DEFAULT_CELL_CAP:
         raise ResourceCapError(
-            f"remainder walk of ~{steps} steps exceeds cap {cell_cap}"
+            f"remainder walk of ~{steps} steps exceeds cap {DEFAULT_CELL_CAP}"
         )
 
     remainders = Counter({H: 1})

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalConsistencyError, ResourceCapError, WrongDispatchError
-from .lattice import ShiftedDiagonalLattice, admissible
+from .lattice import ShiftedDiagonalLattice, _check_gram, admissible
 from .polygonal import _check_int
 
 DEFAULT_ORACLE_MODULUS_CAP = 1 << 18
@@ -152,13 +152,11 @@ class JordanDecomposition:
 def jordan_decompose(p: int, gram: tuple[int, ...] | list[int]) -> JordanDecomposition:
     """Split each diagonal entry into p-power times unit and sort by exponent."""
     _check_prime(p)
-    gram = tuple(gram)
+    gram = _check_gram(gram)
     if not gram:
         raise ValueError("gram must be nonempty")
     entries = []
     for a in gram:
-        if not isinstance(a, int) or a < 1:
-            raise ValueError(f"gram entries must be positive integers, got {a!r}")
         r = _valuation(a, p)
         entries.append((r, a // p**r))
     entries.sort(key=lambda e: e[0])
@@ -193,6 +191,9 @@ def tau_gauss_sum(p: int, t: int, alpha: int, N: int, c: int) -> complex:
     _check_int(t, "t")
     if t < 1:
         raise ValueError("t must be >= 1")
+    _check_int(alpha, "alpha")
+    _check_int(N, "N")
+    _check_int(c, "c")
     if alpha % p == 0:
         raise ValueError("alpha must be a p-adic unit")
     if math.gcd(c, N) != 1:
@@ -238,6 +239,7 @@ def density_p_dividing_N(p: int, N: int) -> Density:
     depends only on (p, N).
     """
     _check_prime(p)
+    _check_int(N, "N")
     if N < 1 or N % p != 0:
         raise WrongDispatchError(f"p={p} does not divide N={N}")
     e = _valuation(N, p)
@@ -374,6 +376,8 @@ def _two_adic_term(rs: tuple[int, ...], t: int) -> tuple[bool, Fraction] | None:
 def stabilization_threshold(p: int, gram: tuple[int, ...], h: Fraction | int) -> int:
     """Modulus exponent past which the count ratio is provably constant:
     2 * ord_p(2 * det) + ord_p(h) + 1."""
+    _check_prime(p)
+    gram = _check_gram(gram)
     h = Fraction(h)
     if h <= 0:
         raise ValueError("target must be positive")
@@ -491,36 +495,33 @@ def _residue_count_density(p: int, t: int, gram: tuple[int, ...], h: Fraction) -
 
 
 def siegel_count_density(
-    p: int,
-    source: JordanDecomposition | tuple[int, ...] | list[int],
-    h: Fraction | int,
-    t: int,
-    *,
-    N: int = 1,
-    modulus_cap: int = DEFAULT_ORACLE_MODULUS_CAP,
+    p: int, gram: tuple[int, ...] | list[int], h: Fraction | int, t: int, *, N: int = 1
 ) -> Density:
-    """Counting route: #{x mod p^t : q(x) = h} / p^((n-1)*t).
+    """Counting route: #{x mod p^t : q(x) = h} / p^((n-1)*t) for the
+    diagonal form with the given gram entries.
 
     Only defined away from the conductor (p must not divide N).  The
     returned Density carries stabilized=True iff the ratio is identical at
-    t, t+1 and t+2.
+    t, t+1 and t+2; the largest modulus p^(t+2) may not exceed
+    DEFAULT_ORACLE_MODULUS_CAP, which is checked before any table is built.
     """
     _check_prime(p)
     _check_int(t, "t")
     if t < 1:
         raise ValueError("t must be >= 1")
+    _check_int(N, "N")
     if N % p == 0:
         raise WrongDispatchError(
             f"counting oracle undefined at p={p} dividing the conductor N={N}"
         )
-    gram = tuple(source.gram()) if isinstance(source, JordanDecomposition) else tuple(source)
+    gram = _check_gram(gram)
     if not gram:
         raise ValueError("gram must be nonempty")
     h, _ = _integral_target(h, p)
-    for tt in (t, t + 1, t + 2):  # before any table is built
-        if p**tt > modulus_cap:
+    for tt in (t, t + 1, t + 2):
+        if p**tt > DEFAULT_ORACLE_MODULUS_CAP:
             raise ResourceCapError(
-                f"oracle modulus {p}^{tt} = {p**tt} exceeds cap {modulus_cap}"
+                f"oracle modulus {p}^{tt} = {p**tt} exceeds cap {DEFAULT_ORACLE_MODULUS_CAP}"
             )
     vals = [_residue_count_density(p, tt, gram, h) for tt in (t, t + 1, t + 2)]
     return Density(vals[0], "oracle", t=t, stabilized=vals[0] == vals[1] == vals[2])

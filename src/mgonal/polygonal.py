@@ -19,7 +19,6 @@ escalator nodes cost a few set lookups instead of a pass over the bitset.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -113,11 +112,6 @@ class PolygonalForm:
     def n(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the empty form)."""
-        return math.gcd(*self.coeffs) if self.coeffs else 0
-
     def extend(self, coeff: int) -> "PolygonalForm":
         """The form with one more coefficient appended (must keep sortedness).
 
@@ -141,7 +135,8 @@ class RepresentationSet:
     """The set of integers in [0, bound] represented by a form.
 
     bits is a little-endian bitmask: bit k is set iff k is represented.
-    Bit 0 is always set (the empty sum).  A set that misses at most
+    Bit 0 is always set (the empty sum); bits without it, or with bits past
+    bound, raise ValueError.  A set that misses at most
     SPARSE_MISSING values of [0, bound] also holds them as an ascending
     tuple, peeled from its bits when it is first folded; the sets folded
     from it hold only that tuple and build their bits when asked for them.
@@ -151,6 +146,11 @@ class RepresentationSet:
     __slots__ = ("_bound", "_bits", "_missing")
 
     def __init__(self, bound: int, bits: int) -> None:
+        # O(1): this runs once per fold, so no masking and no popcount.
+        if bits < 0 or not bits & 1 or bits.bit_length() > bound + 1:
+            raise ValueError(
+                f"bits must be a nonnegative mask of [0, {bound}] with bit 0 set"
+            )
         self._bound = bound
         self._bits: int | None = bits
         self._missing: tuple[int, ...] | None = None  # peeled on the first fold
@@ -198,7 +198,7 @@ class RepresentationSet:
         if self._missing is None and (
             self._bound + 1 - self._bits.bit_count() <= SPARSE_MISSING
         ):
-            self._missing = _peel(self._missing_bits(), SPARSE_MISSING)
+            self._missing = _peel(self._missing_bits())
         return self._missing
 
     def truant(self) -> int | None:
@@ -230,14 +230,12 @@ def _mask(bound: int) -> int:
     return (1 << (bound + 1)) - 1
 
 
-def _peel(x: int, limit: int) -> tuple[int, ...] | None:
-    """Positions of the set bits of x >= 0, ascending, or None when there
-    are more than limit of them.  Each bit is peeled off as x & -x, so the
-    cost is a few passes over x per bit, not one per binary digit."""
+def _peel(x: int) -> tuple[int, ...]:
+    """Positions of the set bits of x >= 0, ascending.  Each bit is peeled
+    off as x & -x, so the cost is a few passes over x per bit, not one per
+    binary digit."""
     out = []
     while x:
-        if len(out) == limit:
-            return None
         low = x & -x
         out.append(low.bit_length() - 1)
         x ^= low
@@ -286,16 +284,15 @@ def _fold(rep: RepresentationSet, m: int, coeff: int) -> RepresentationSet:
     return RepresentationSet(bound, out & _mask(bound))
 
 
-def represented_set(
-    form: PolygonalForm, bound: int, *, bit_cap: int = DEFAULT_BIT_CAP
-) -> RepresentationSet:
-    """All integers in [0, bound] represented by the form."""
+def represented_set(form: PolygonalForm, bound: int) -> RepresentationSet:
+    """All integers in [0, bound] represented by the form; the bitset's
+    bound + 1 bits may not exceed DEFAULT_BIT_CAP."""
     _check_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if bound + 1 > bit_cap:
+    if bound + 1 > DEFAULT_BIT_CAP:
         raise ResourceCapError(
-            f"bitset of {bound + 1} bits exceeds cap of {bit_cap}"
+            f"bitset of {bound + 1} bits exceeds cap of {DEFAULT_BIT_CAP}"
         )
     rep = RepresentationSet(bound, 1)
     for a in form.coeffs:

@@ -15,7 +15,6 @@ from mgonal import (
     build_tree,
     deserialize_tree,
     escalate,
-    min_leaf_depth,
     represented_set,
     serialize_tree,
 )
@@ -30,7 +29,8 @@ def test_triangular_tree_is_the_known_one():
     assert tree.complete
     assert len(tree.nodes) == 18
     assert tree.gamma_estimate == 8
-    assert min_leaf_depth(tree) == 3
+    # three triangular numbers represent every integer (Gauss)
+    assert min(n.depth for n in tree.nodes if n.truant is None) == 3
 
 
 def test_hexagonal_tree_matches_triangular_gamma():
@@ -137,7 +137,6 @@ def test_very_large_m_has_no_shallow_universal_node():
     # 1..(m-4) once m - 4 > 16
     tree = build_tree(101, max_depth=4, bound=2000)
     assert all(n.truant is not None for n in tree.nodes)
-    assert min_leaf_depth(tree) is None
     assert not tree.complete
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_oracles as ref
+from mgonal import lattice
 from mgonal import (
     InternalConsistencyError,
     PolygonalForm,
@@ -54,6 +55,9 @@ def test_lattice_validation():
         ShiftedDiagonalLattice((1, 1), 2, 4)  # c not coprime to N
     with pytest.raises(ValueError):
         ShiftedDiagonalLattice((0, 1), 0, 1)  # nonpositive gram entry
+    for gram in ((True, 1), (1.5, 1), (-1, 1)):
+        with pytest.raises(ValueError, match="gram entries must be positive integers, got"):
+            ShiftedDiagonalLattice(gram, 0, 1)
 
 
 def test_h_of_ell_frozen_values():
@@ -162,15 +166,16 @@ def test_count_of_non_lattice_rational_target_is_zero():
     assert representation_count(X, Fraction(1, 3)) == 0
 
 
-def test_count_rejects_negative_targets_and_enforces_the_cap():
+def test_count_rejects_negative_targets_and_enforces_the_cap(monkeypatch):
     X = ShiftedDiagonalLattice((1, 1), 0, 1)
     with pytest.raises(ValueError):
         representation_count(X, -1)
+    monkeypatch.setattr(lattice, "DEFAULT_CELL_CAP", 100)
     with pytest.raises(ResourceCapError):
-        representation_count(X, 10**8, cell_cap=100)
+        representation_count(X, 10**8)
 
 
-def test_cell_cap_bounds_the_remainder_walk():
+def test_cell_cap_bounds_the_remainder_walk(monkeypatch):
     # Under the default cap: r6(2000) by the divisor-sum formula, and
     # r4(10^4) = 8 * (sum of the divisors of 10^4 not divisible by 4)
     six = ShiftedDiagonalLattice((1,) * 6, 0, 1)
@@ -180,8 +185,10 @@ def test_cell_cap_bounds_the_remainder_walk():
     # square tests, one per remainder in [0, 2000]
     steps = 89 + 89**2 + 3 * 2001 * 89 + 2001
     with pytest.raises(ResourceCapError, match=f"~{steps} steps exceeds cap {steps - 1}"):
-        representation_count(six, 2000, cell_cap=steps - 1)
-    assert representation_count(six, 2000, cell_cap=steps) == 66_601_392
+        monkeypatch.setattr(lattice, "DEFAULT_CELL_CAP", steps - 1)
+        representation_count(six, 2000)
+    monkeypatch.setattr(lattice, "DEFAULT_CELL_CAP", steps)
+    assert representation_count(six, 2000) == 66_601_392
 
 
 def test_count_on_the_empty_lattice():

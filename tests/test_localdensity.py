@@ -230,11 +230,11 @@ def test_stabilization_threshold_formula():
     assert stabilization_threshold(3, (1, 3, 9), 9) == 2 * 3 + 2 + 1
     assert stabilization_threshold(2, (1, 2), 1) == 2 * 2 + 0 + 1
     assert stabilization_threshold(5, (1, 1), Fraction(25, 2)) == 0 + 2 + 1
-    # positivity is its only check: a non-integral target is not an error
+    # a non-integral target is not an error
     assert stabilization_threshold(3, (1, 1), Fraction(1, 3)) == 0 - 1 + 1
 
 
-def test_oracle_input_validation():
+def test_oracle_input_validation(monkeypatch):
     with pytest.raises(WrongDispatchError):
         siegel_count_density(3, (1, 1, 1, 1), 1, 2, N=6)
     with pytest.raises(ValueError):
@@ -245,23 +245,28 @@ def test_oracle_input_validation():
         siegel_count_density(3, (1, 1), 0, 1)
     with pytest.raises(ValueError, match="target must be positive"):
         stabilization_threshold(3, (1, 1), 0)
+    with pytest.raises(ValueError, match="expected a prime, got 4"):
+        stabilization_threshold(4, (1, 1), 1)
     with pytest.raises(ValueError, match="target must be a 3-adic integer"):
         siegel_count_density(3, (1, 1), Fraction(1, 3), 1)
     with pytest.raises(ValueError):
         siegel_count_density(3, (), 1, 1)
+    for gram in ((0, 1, 1, 1), (-1, 1, 1, 1), (1.5, 1, 1, 1), (True, 1, 1, 1)):
+        for call in (
+            lambda: siegel_count_density(3, gram, 1, 1),
+            lambda: stabilization_threshold(3, gram, 1),
+            lambda: jordan_decompose(3, gram),
+        ):
+            with pytest.raises(ValueError, match="gram entries must be positive integers"):
+                call()
     with pytest.raises(ResourceCapError):
         siegel_count_density(2, (1, 1), 1, 30)
     # the cap bounds the largest modulus used, p^(t+2)
+    monkeypatch.setattr(localdensity, "DEFAULT_ORACLE_MODULUS_CAP", 27)
     with pytest.raises(ResourceCapError, match=r"3\^4 = 81 exceeds cap 27"):
-        siegel_count_density(3, (1, 1, 1, 1), 1, 2, modulus_cap=27)
-    assert siegel_count_density(3, (1, 1, 1, 1), 1, 2, modulus_cap=81).stabilized
-
-
-def test_oracle_accepts_jordan_input():
-    jd = jordan_decompose(3, (1, 1, 1, 3))
-    direct = siegel_count_density(3, (1, 1, 1, 3), 1, 3)
-    via_jd = siegel_count_density(3, jd, 1, 3)
-    assert direct.value == via_jd.value
+        siegel_count_density(3, (1, 1, 1, 1), 1, 2)
+    monkeypatch.setattr(localdensity, "DEFAULT_ORACLE_MODULUS_CAP", 81)
+    assert siegel_count_density(3, (1, 1, 1, 1), 1, 2).stabilized
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,9 +10,12 @@ from mgonal import (
     PolygonalForm,
     RepresentationSet,
     ResourceCapError,
+    ShiftedDiagonalLattice,
     build_tree,
+    density_p_dividing_N,
     extend_set,
     guy_form,
+    h_of_ell,
     lower_bound_witness,
     siegel_count_density,
     tau_gauss_sum,
@@ -101,9 +104,6 @@ def test_form_of_sorts_and_validates():
     f = PolygonalForm.of(5, 3, 1, 2)
     assert f.coeffs == (1, 2, 3)
     assert f.n == 3
-    assert f.content == 1
-    assert PolygonalForm.of(7, 4, 6).content == 2
-    assert PolygonalForm(5, ()).content == 0
 
 
 def test_form_rejects_bad_coefficients():
@@ -144,6 +144,14 @@ def test_extend_appends_and_keeps_sortedness():
         lambda x: lower_bound_witness(10, 2 * x),
         lambda x: siegel_count_density(3, (1, 1, 1, 1), 1, x),
         lambda x: tau_gauss_sum(3, x, 1, 3, 1),
+        lambda x: ShiftedDiagonalLattice((1, 1), 0, x),
+        lambda x: ShiftedDiagonalLattice((1, 1), x - 2, 2),
+        lambda x: h_of_ell(PolygonalForm(5, (1, 2)), x),
+        lambda x: tau_gauss_sum(3, 1, 1, x, 1),
+        lambda x: tau_gauss_sum(3, 1, x, 3, 1),
+        lambda x: tau_gauss_sum(3, 1, 1, 3, x),
+        lambda x: density_p_dividing_N(3, x),
+        lambda x: siegel_count_density(3, (1, 1, 1, 1), 1, 1, N=x),
     ],
 )
 def test_sizes_and_bounds_must_be_integers(call):
@@ -314,9 +322,14 @@ def test_extend_set_rejects_nonpositive_coefficient():
         extend_set(base, 2, 1)  # P_2(x) = x: the negative walk would never end
 
 
-def test_bit_cap_is_enforced():
+def test_bit_cap_is_enforced(monkeypatch):
+    monkeypatch.setattr(polygonal, "DEFAULT_BIT_CAP", 50)
+    form = PolygonalForm.of(3, 1)
+    assert represented_set(form, 49).count() == 10  # triangular numbers up to 45
+    with pytest.raises(ResourceCapError, match="bitset of 51 bits exceeds cap of 50"):
+        represented_set(form, 50)
     with pytest.raises(ResourceCapError):
-        represented_set(PolygonalForm.of(3, 1), 100, bit_cap=50)
+        represented_set(form, 100)
 
 
 def test_truant_requires_positive_bound():
@@ -330,3 +343,18 @@ def test_representation_set_is_a_plain_value():
     assert rep.missing() == [2, 3]
     assert rep.truant() == 2
     assert rep.count() == 3
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        (1 << 40) - 1,  # values past the bound
+        (1 << 6) | 1,  # bit 6 is one past bound 5
+        0,  # 0 is always represented
+        0b111110,
+        -1,
+    ],
+)
+def test_representation_set_rejects_malformed_bits(bits):
+    with pytest.raises(ValueError, match=r"bits must be a nonnegative mask of \[0, 5\]"):
+        RepresentationSet(5, bits)
