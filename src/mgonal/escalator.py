@@ -15,6 +15,13 @@ B (so "universal" leaves are B-universal, an empirical flag), and expansion
 stops at max_depth.  A tree is *complete* when every node that is not
 B-universal has its whole escalation range as children; only then is the
 gamma estimate an empirical value rather than a lower bound.
+
+Every node above max_depth keeps its represented set in [0, B], since its
+children are folded from it.  A node at max_depth has no children, so only
+its truant is computed: whether k is represented depends only on the
+parent's represented values up to k, so folding the parent's set over a
+window [0, w] decides exactly which values up to w the leaf represents, and
+the window grows only until it holds a missing value or reaches B.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .polygonal import (
     PolygonalForm,
     RepresentationSet,
     _check_int,
+    _extended_truant,
     extend_set,
     represented_set,
 )
@@ -60,10 +68,15 @@ class EscalatorTree:
         return self.nodes[0]
 
     @property
+    def truants(self) -> list[int]:
+        """The distinct truants of the nodes, ascending: S_m when the tree
+        is complete.  The root's truant, 1, keeps the list nonempty."""
+        return sorted({n.truant for n in self.nodes if n.truant is not None})
+
+    @property
     def gamma_estimate(self) -> int:
-        """Largest truant; only a lower bound unless complete.  The root's
-        truant, 1, keeps the maximum defined."""
-        return max(n.truant for n in self.nodes if n.truant is not None)
+        """Largest truant; only a lower bound unless complete."""
+        return self.truants[-1]
 
     @property
     def complete(self) -> bool:
@@ -102,9 +115,12 @@ def build_tree(
     """Breadth-first escalator tree down to max_depth.
 
     Children are generated in ascending coefficient order, so the node list
-    is deterministic.  When the node cap is hit, on_cap="error" raises
+    is deterministic.  Nodes at max_depth hold only a truant, found by a
+    fold of their parent's set over a window that stops at the first value
+    missing (exact, since a value k depends only on the parent's values up
+    to k).  When the node cap is hit, on_cap="error" raises
     ResourceCapError while on_cap="truncate" stops expanding and returns the
-    (incomplete) partial tree.
+    (incomplete) partial tree; leaves count toward the cap like every node.
     """
     _check_int(max_depth, "max_depth")
     _check_int(bound, "bound")
@@ -124,6 +140,7 @@ def build_tree(
         node, rep = queue.popleft()
         if node.truant is None or node.depth >= max_depth:
             continue
+        leaves = node.depth + 1 == max_depth
         for form in escalate(node):
             if len(nodes) >= node_cap:
                 if on_cap == "error":
@@ -131,11 +148,14 @@ def build_tree(
                         f"escalator tree for m={m} exceeded node cap {node_cap}"
                     )
                 return EscalatorTree(m, bound, max_depth, nodes)
-            child_rep = extend_set(rep, m, form.coeffs[-1])
-            child = EscalatorNode(form, child_rep.truant())
+            if leaves:  # nothing reads a leaf's set: keep its truant alone
+                child = EscalatorNode(form, _extended_truant(rep, m, form.coeffs[-1]))
+            else:
+                child_rep = extend_set(rep, m, form.coeffs[-1])
+                child = EscalatorNode(form, child_rep.truant())
+                queue.append((child, child_rep))
             node.children.append(child)
             nodes.append(child)
-            queue.append((child, child_rep))
     return EscalatorTree(m, bound, max_depth, nodes)
 
 

@@ -180,7 +180,11 @@ class RepresentationSet:
         return hash((self._bound, self.bits))
 
     def __repr__(self) -> str:
-        return f"RepresentationSet(bound={self._bound!r}, bits={self.bits!r})"
+        # no decimal form of bits: past 4300 digits int -> str raises
+        return (
+            f"RepresentationSet(bound={self._bound!r}, count={self.count()!r}, "
+            f"truant={self.truant()!r})"
+        )
 
     def __contains__(self, k: int) -> bool:
         if not 0 <= k <= self._bound:
@@ -277,11 +281,49 @@ def _fold(rep: RepresentationSet, m: int, coeff: int) -> RepresentationSet:
         gone = frozenset(missing)
         kept = tuple(k for k in missing if _stays_missing(k, gone, coeff, values))
         return RepresentationSet._of_missing(bound, kept)
-    bits = rep._bits
+    return RepresentationSet(bound, _shift_union(rep._bits, coeff, values, bound))
+
+
+def _shift_union(bits: int, coeff: int, values: tuple[int, ...], width: int) -> int:
+    """The union of bits << coeff * v over the ascending values with
+    coeff * v <= width, cut to [0, width]."""
     out = 0
     for v in values:
-        out |= bits << (coeff * v)
-    return RepresentationSet(bound, out & _mask(bound))
+        shift = coeff * v
+        if shift > width:
+            break
+        out |= bits << shift
+    return out & _mask(width)
+
+
+def _extended_truant(rep: RepresentationSet, m: int, coeff: int) -> int | None:
+    """extend_set(rep, m, coeff).truant() without building the extended set.
+
+    Whether k is in the extended set depends only on rep's values up to k,
+    so a fold of rep's bits up to w is exact up to w.  A sparse set returns
+    its first missing value that stays missing.  A dense set with truant t
+    folds windows [0, w] from w = 2t (the new truant lies above t), and
+    after each window without a gap squares w / t: 2t, 4t, 16t, 256t, ...,
+    clipped to bound.  Most new truants lie below 4t, and when the extended
+    set misses nothing the windows below the last one cost a few percent of
+    it; doubling w instead made them cost half as much again as the last.
+    """
+    bound = rep._bound
+    values = _values_up_to(m, bound // coeff)
+    missing = rep._sparse()
+    if missing is not None:
+        gone = frozenset(missing)
+        return next((k for k in missing if _stays_missing(k, gone, coeff, values)), None)
+    t = rep.truant()
+    w = min(2 * t, bound)
+    while True:
+        mask = _mask(w)
+        gaps = mask ^ _shift_union(rep._bits & mask, coeff, values, w)
+        if gaps:
+            return (gaps & -gaps).bit_length() - 1
+        if w == bound:
+            return None
+        w = min(w * w // t, bound)
 
 
 def represented_set(form: PolygonalForm, bound: int) -> RepresentationSet:

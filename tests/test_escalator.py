@@ -188,6 +188,67 @@ def test_complete_trees_beyond_m14_are_pinned(m):
     )
 
 
+# trees whose deepest level is max_depth, where only the leaves' truants are
+# computed: (m, max_depth, bound) -> (nodes, gamma estimate, sha256).  At
+# bound 1e5 the m = 5 leaves are mostly universal, so their windows grow to
+# the bound; the m = 50 leaves all find their truant in the first window.
+TREES_WITH_MAX_DEPTH_LEAVES = {
+    (19, 5, 10_000): (230, 126, "9c1a201f4ce1f49775dfcf0796431b40b886795bf5f09afdc1f86395a26122c5"),
+    (23, 5, 10_000): (229, 96, "711569e1723d5ea1747ce32db23ffc6d78ca0174b47b258a713931147af76df2"),
+    (30, 5, 10_000): (229, 57, "f58a92cd0e783fed2b2fe9cb96e7c3e13a3bbba1a65b22f05267fce6e973bbca"),
+    (47, 5, 10_000): (229, 32, "7b91569fe63daaad5f5b10ed7cf4fe96ab49e799bf826efacba8bc26647d3c2d"),
+    (64, 5, 10_000): (229, 32, "509ec4ac707f8fee342335e6c1c06a293e5647775c5627a17e9bb650831f75aa"),
+    (110, 5, 10_000): (229, 32, "c16b1b8fdcff1ca056ec20e2fc03e1754729e1a6da20fe33093f559a4754fbd6"),
+    (5, 4, 100_000): (132, 109, "f3420f2a59a7d7df60096c8b356dd12c2937a8cec1cc84cddb5e93a39bbf19df"),
+    (50, 4, 100_000): (37, 16, "a179bbb169f369f242836c5587ac88b65d8c4f882f5de09a51fcf3114ecb2099"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(TREES_WITH_MAX_DEPTH_LEAVES))
+def test_trees_with_max_depth_leaves_are_pinned(args):
+    tree = build_tree(*args)
+    assert any(n.depth == tree.max_depth for n in tree.nodes)
+    assert (len(tree.nodes), tree.gamma_estimate, _sha256(tree)) == (
+        TREES_WITH_MAX_DEPTH_LEAVES[args]
+    )
+
+
+def test_node_cap_inside_the_leaf_level_is_pinned():
+    # m = 19 at depth 5 has 37 nodes above depth 5 and 193 at it
+    tree = build_tree(19, 5, 10_000, node_cap=150, on_cap="truncate")
+    assert sum(n.depth == 5 for n in tree.nodes) == 113
+    assert (len(tree.nodes), tree.gamma_estimate, _sha256(tree)) == (
+        150, 94, "6c2cd3e5aa5d1ebab2ca919aefab04ecb0d9f908f2c3a6fb787082ecf74bd446"
+    )
+    with pytest.raises(ResourceCapError, match="exceeded node cap 229"):
+        build_tree(19, 5, 10_000, node_cap=229)
+    assert len(build_tree(19, 5, 10_000, node_cap=230).nodes) == 230
+
+
+# S_m, the truants of the complete tree, as published (not taken from this
+# program):
+# - m = 3, and m = 6 whose generalized values are the triangular numbers:
+#   Bosma and Kane, "The triangular theorem of eight".
+# - m = 4: Bhargava, "On the Conway-Schneeberger fifteen theorem".
+# - m = 5: Ju, "Universal sums of generalized pentagonal numbers".
+# - m = 8: Ju and Oh, "Universal sums of generalized octagonal numbers".
+PUBLISHED_TRUANTS = {
+    3: [1, 2, 4, 5, 8],
+    4: [1, 2, 3, 5, 6, 7, 10, 14, 15],
+    5: [1, 3, 8, 9, 11, 18, 19, 25, 27, 43, 98, 109],
+    6: [1, 2, 4, 5, 8],
+    8: [1, 2, 3, 4, 6, 7, 9, 12, 13, 14, 18, 60],
+}
+
+
+@pytest.mark.parametrize("m", sorted(PUBLISHED_TRUANTS))
+def test_truants_of_complete_trees_are_the_published_sets(m):
+    tree = build_tree(m, 12, 20000)
+    assert tree.complete
+    assert tree.truants == PUBLISHED_TRUANTS[m]
+    assert tree.gamma_estimate == tree.truants[-1]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

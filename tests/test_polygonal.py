@@ -313,6 +313,51 @@ def test_sparse_set_from_bits_folds_like_its_content():
     assert extend_set(rep, 5, 10).missing() == [7, 8]
 
 
+# dense parents (more than SPARSE_MISSING values missing) whose extended
+# truant lies in each window of the truant-only fold: [0, 2t], [0, 4t],
+# [0, 16t], the window clipped to the bound, and nowhere (None)
+@pytest.mark.parametrize(
+    "m, coeffs, bound, coeff",
+    [
+        (3, (), 101, 1),  # truant 2 <= 2t
+        (5, (), 101, 1),  # truant 3 in (2t, 4t]
+        (4, (2,), 101, 1),  # truant 5 in (4t, 16t]
+        (5, (2, 5), 101, 1),  # truant 18 past 16t = 16, window clipped to 101
+        (3, (1, 1), 101, 1),  # three triangulars: the windows reach the bound
+        (4, (1, 1, 1), 301, 1),  # four squares (Lagrange), at an odd bound
+        (4, (1, 1, 1), 301, 8),  # coefficient past the escalation range, t = 7
+    ],
+)
+def test_extended_truant_on_dense_parents_matches_naive(m, coeffs, bound, coeff):
+    parent = represented_set(PolygonalForm(m, coeffs), bound)
+    assert len(parent.missing()) > polygonal.SPARSE_MISSING
+    expected = ref.naive_truant(m, coeffs + (coeff,), bound)
+    assert polygonal._extended_truant(parent, m, coeff) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=12),
+    st.lists(st.integers(min_value=1, max_value=6), max_size=6),
+    st.integers(min_value=1, max_value=400) | st.just(1),
+    st.booleans(),
+    st.data(),
+)
+def test_extended_truant_matches_extend_set(m, coeffs, bound, as_bits, data):
+    # the truant-only fold against the whole fold, from sparse and dense
+    # parents, for coefficients in and past the escalation range [1, t]
+    parent = represented_set(PolygonalForm.of(m, *coeffs), bound)
+    if as_bits:
+        parent = RepresentationSet(bound, parent.bits)  # peels its gaps when first asked
+    top = parent.truant() or bound
+    coeff = data.draw(
+        st.integers(min_value=1, max_value=top + 2)
+        | st.integers(min_value=top + 1, max_value=2 * bound + 2)
+    )
+    expected = extend_set(parent, m, coeff).truant()
+    assert polygonal._extended_truant(parent, m, coeff) == expected
+
+
 def test_extend_set_rejects_nonpositive_coefficient():
     base = represented_set(PolygonalForm.of(3, 1), 10)
     for coeff in (0, -1, 1.5, True):
@@ -343,6 +388,15 @@ def test_representation_set_is_a_plain_value():
     assert rep.missing() == [2, 3]
     assert rep.truant() == 2
     assert rep.count() == 3
+
+
+def test_repr_prints_no_decimal_bits():
+    # str() of an int past 4300 decimal digits raises ValueError
+    rep = represented_set(PolygonalForm.of(3, 1), 100_000)
+    assert repr(rep) == "RepresentationSet(bound=100000, count=447, truant=2)"
+    assert repr(RepresentationSet(4, 0b11111)) == (
+        "RepresentationSet(bound=4, count=5, truant=None)"
+    )
 
 
 @pytest.mark.parametrize(
