@@ -7,6 +7,7 @@ guy verification), 3 resource cap exceeded, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -93,14 +94,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out_path, "w") as fh:
+def _write(text: str, out_path: str | None = None) -> None:
+    """Write text as it is to out_path, or as lines to stdout.
+
+    A reader that closes stdout early (`mgonal tree ... | head`) ends the
+    output but not the command: stdout then points at os.devnull, so later
+    writes and the flush at exit succeed, and the exit code is the
+    command's own.  An --out path that cannot be opened is a usage error.
+    """
+    if out_path is not None:
+        try:
+            fh = open(out_path, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot open --out {out_path}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
+        return
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_tree(args, parser: argparse.ArgumentParser) -> int:
@@ -116,7 +132,7 @@ def _cmd_tree(args, parser: argparse.ArgumentParser) -> int:
         (n.truant for n in tree.nodes if n.children and n.truant is not None),
         default=tree.nodes[0].truant,
     )
-    print(
+    _write(
         f"tree m={args.m} depth={args.depth} bound={args.bound}: "
         f"nodes={len(tree.nodes)} depth{args.depth}_nodes={frontier} leaves={leaves} "
         f"max_truant={tree.gamma_estimate} internal_max_truant={internal_max} "
@@ -133,12 +149,12 @@ def _cmd_gamma(args, parser: argparse.ArgumentParser) -> int:
     )
     value = tree.gamma_estimate
     if tree.complete:
-        print(
+        _write(
             f"gamma_{args.m} = {value} (empirical for bound {args.bound}; "
             f"{len(tree.nodes)} nodes, every frontier form universal up to the bound)"
         )
     else:
-        print(
+        _write(
             f"gamma_{args.m} >= {value} (lower bound; tree incomplete at "
             f"depth cap {args.depth_cap} / node cap {args.node_cap})"
         )
@@ -188,12 +204,12 @@ def _cmd_guy(args, parser: argparse.ArgumentParser) -> int:
         parser.error("bound must be at least ell")
     report = constructions.verify_guy(gf, args.bound)
     if report.passed:
-        print(
+        _write(
             f"guy m={args.m} ell={args.ell} bound={args.bound}: "
             f"misses exactly {{{args.ell}}}: PASS"
         )
         return 0
-    print(
+    _write(
         f"guy m={args.m} ell={args.ell} bound={args.bound}: "
         f"missing {sorted(report.missing)}: FAIL"
     )
@@ -209,7 +225,7 @@ def _cmd_tau(args, parser: argparse.ArgumentParser) -> int:
     )
     if expected is not None:
         line += f" (closed value {expected}, |err| = {abs(value - expected):.3e})"
-    print(line)
+    _write(line)
     return 0
 
 

@@ -16,12 +16,12 @@ stops at max_depth.  A tree is *complete* when every node that is not
 B-universal has its whole escalation range as children; only then is the
 gamma estimate an empirical value rather than a lower bound.
 
-Every node above max_depth keeps its represented set in [0, B], since its
-children are folded from it.  A node at max_depth has no children, so only
-its truant is computed: whether k is represented depends only on the
-parent's represented values up to k, so folding the parent's set over a
-window [0, w] decides exactly which values up to w the leaf represents, and
-the window grows only until it holds a missing value or reaches B.
+Each node's children get their truants from one pass over its represented
+set in [0, B]: whether k is represented by a child depends only on the
+parent's values up to k, so a fold over a window [0, w] that grows until it
+holds a missing value (or reaches B) decides the child's truant.  Only a
+child that gets children of its own (it has a truant and lies above
+max_depth) has its whole set folded.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from .errors import ResourceCapError, TreeParseError
 from .polygonal import (
     DEFAULT_BOUND,
     PolygonalForm,
-    RepresentationSet,
     _check_int,
-    _extended_truant,
+    _extended_truants,
     extend_set,
     represented_set,
 )
@@ -115,12 +114,12 @@ def build_tree(
     """Breadth-first escalator tree down to max_depth.
 
     Children are generated in ascending coefficient order, so the node list
-    is deterministic.  Nodes at max_depth hold only a truant, found by a
-    fold of their parent's set over a window that stops at the first value
-    missing (exact, since a value k depends only on the parent's values up
-    to k).  When the node cap is hit, on_cap="error" raises
-    ResourceCapError while on_cap="truncate" stops expanding and returns the
-    (incomplete) partial tree; leaves count toward the cap like every node.
+    is deterministic.  A node's children take their truants from one pass
+    over its set; a child keeps a set, folded whole, only when it gets
+    children: it has a truant and lies above max_depth.  When the node cap
+    is hit, on_cap="error" raises ResourceCapError while on_cap="truncate"
+    stops expanding and returns the (incomplete) partial tree; leaves count
+    toward the cap like every node.
     """
     _check_int(max_depth, "max_depth")
     _check_int(bound, "bound")
@@ -135,27 +134,22 @@ def build_tree(
     root_rep = represented_set(root_form, bound)
     root = EscalatorNode(root_form, root_rep.truant())
     nodes = [root]
-    queue: deque[tuple[EscalatorNode, RepresentationSet]] = deque([(root, root_rep)])
-    while queue:
+    queue = deque([(root, root_rep)] if max_depth else [])
+    while queue:  # nodes that get children, each with its set
         node, rep = queue.popleft()
-        if node.truant is None or node.depth >= max_depth:
-            continue
-        leaves = node.depth + 1 == max_depth
-        for form in escalate(node):
+        coeffs = _escalation_range(node)
+        for k, truant in zip(coeffs, _extended_truants(rep, m, coeffs)):
             if len(nodes) >= node_cap:
                 if on_cap == "error":
                     raise ResourceCapError(
                         f"escalator tree for m={m} exceeded node cap {node_cap}"
                     )
                 return EscalatorTree(m, bound, max_depth, nodes)
-            if leaves:  # nothing reads a leaf's set: keep its truant alone
-                child = EscalatorNode(form, _extended_truant(rep, m, form.coeffs[-1]))
-            else:
-                child_rep = extend_set(rep, m, form.coeffs[-1])
-                child = EscalatorNode(form, child_rep.truant())
-                queue.append((child, child_rep))
+            child = EscalatorNode(node.form.extend(k), truant)
             node.children.append(child)
             nodes.append(child)
+            if truant is not None and child.depth < max_depth:
+                queue.append((child, extend_set(rep, m, k)))
     return EscalatorTree(m, bound, max_depth, nodes)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, ResourceCapError
-from .polygonal import PolygonalForm, _check_int, represented_set
+from .polygonal import PolygonalForm, _check_int, _check_m, represented_set
 
 DEFAULT_CELL_CAP = 10**8
 
@@ -39,8 +39,7 @@ def _check_gram(gram) -> tuple[int, ...]:
 
 def shift_fraction(m: int) -> Fraction:
     """(m-4) / (2*(m-2)) in lowest terms; the per-coordinate shift size."""
-    if m < 3:
-        raise ValueError("m must be >= 3")
+    _check_m(m)
     return Fraction(m - 4, 2 * (m - 2))
 
 

@@ -181,6 +181,21 @@ class Density:
 # unit Gauss sums (float; numerical witness only)
 
 
+def _capped_modulus(p: int, t: int, refusal: str) -> int:
+    """p**t, or ResourceCapError with refusal.format(p=p, t=t, M=p**t,
+    cap=DEFAULT_ORACLE_MODULUS_CAP) when it exceeds the cap.  Since p >= 2,
+    an exponent of twice the cap's bit length or more puts p**t past the
+    cap squared: it is refused before the power is computed (it could have
+    millions of digits) and named only as p^t."""
+    cap = DEFAULT_ORACLE_MODULUS_CAP
+    if t >= 2 * cap.bit_length():
+        raise ResourceCapError(f"modulus {p}^{t} exceeds cap {cap}")
+    M = p**t
+    if M > cap:
+        raise ResourceCapError(refusal.format(p=p, t=t, M=M, cap=cap))
+    return M
+
+
 def tau_gauss_sum(p: int, t: int, alpha: int, N: int, c: int) -> complex:
     """p^-t * sum over x mod p^t of exp(-2*pi*i * alpha*(N*x**2 - 2*c*x) / p^t).
 
@@ -198,9 +213,7 @@ def tau_gauss_sum(p: int, t: int, alpha: int, N: int, c: int) -> complex:
         raise ValueError("alpha must be a p-adic unit")
     if math.gcd(c, N) != 1:
         raise ValueError("c must be coprime to N")
-    M = p**t
-    if M > DEFAULT_ORACLE_MODULUS_CAP:
-        raise ResourceCapError(f"modulus {M} exceeds cap")
+    M = _capped_modulus(p, t, "modulus {M} exceeds cap")
     total = 0j
     for x in range(M):
         frac = (alpha * (N * x * x - 2 * c * x)) % M
@@ -519,10 +532,7 @@ def siegel_count_density(
         raise ValueError("gram must be nonempty")
     h, _ = _integral_target(h, p)
     for tt in (t, t + 1, t + 2):
-        if p**tt > DEFAULT_ORACLE_MODULUS_CAP:
-            raise ResourceCapError(
-                f"oracle modulus {p}^{tt} = {p**tt} exceeds cap {DEFAULT_ORACLE_MODULUS_CAP}"
-            )
+        _capped_modulus(p, tt, "oracle modulus {p}^{t} = {M} exceeds cap {cap}")
     vals = [_residue_count_density(p, tt, gram, h) for tt in (t, t + 1, t + 2)]
     return Density(vals[0], "oracle", t=t, stabilized=vals[0] == vals[1] == vals[2])
 

@@ -19,6 +19,7 @@ escalator nodes cost a few set lookups instead of a pass over the bitset.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -252,18 +253,21 @@ def _bit_positions(x: int) -> list[int]:
     return [k for k, digit in enumerate(bin(x)[:1:-1]) if digit == "1"]
 
 
-def _stays_missing(
-    k: int, gone: frozenset[int], coeff: int, values: tuple[int, ...]
-) -> bool:
-    """Whether k is still missing once coeff * P_m(x) is added: every
-    k - coeff * v with coeff * v <= k was missing (v = 0 asks for k itself)."""
-    for v in values:
-        w = coeff * v
-        if w > k:
-            return True
-        if k - w not in gone:
-            return False
-    return True
+def _kept(
+    missing: tuple[int, ...], gone: frozenset[int], coeff: int, values: tuple[int, ...]
+) -> Iterator[int]:
+    """Yield, ascending, the missing k that stay missing once coeff * P_m(x)
+    is added: every k - coeff * v with coeff * v <= k was missing."""
+    for k in missing:
+        for v in values:
+            w = coeff * v
+            if w > k:
+                yield k
+                break
+            if k - w not in gone:
+                break
+        else:
+            yield k
 
 
 def _fold(rep: RepresentationSet, m: int, coeff: int) -> RepresentationSet:
@@ -275,11 +279,10 @@ def _fold(rep: RepresentationSet, m: int, coeff: int) -> RepresentationSet:
     only ever disappear, so a sparse set's folds stay sparse.
     """
     bound = rep._bound
-    values = _values_up_to(m, bound // coeff)
+    values = _values_up_to(m, bound)
     missing = rep._sparse()
     if missing is not None:
-        gone = frozenset(missing)
-        kept = tuple(k for k in missing if _stays_missing(k, gone, coeff, values))
+        kept = tuple(_kept(missing, frozenset(missing), coeff, values))
         return RepresentationSet._of_missing(bound, kept)
     return RepresentationSet(bound, _shift_union(rep._bits, coeff, values, bound))
 
@@ -296,34 +299,36 @@ def _shift_union(bits: int, coeff: int, values: tuple[int, ...], width: int) -> 
     return out & _mask(width)
 
 
-def _extended_truant(rep: RepresentationSet, m: int, coeff: int) -> int | None:
-    """extend_set(rep, m, coeff).truant() without building the extended set.
+def _extended_truants(
+    rep: RepresentationSet, m: int, coeffs: range | list[int]
+) -> list[int | None]:
+    """[extend_set(rep, m, k).truant() for k in coeffs] without the sets.
 
-    Whether k is in the extended set depends only on rep's values up to k,
-    so a fold of rep's bits up to w is exact up to w.  A sparse set returns
-    its first missing value that stays missing.  A dense set with truant t
-    folds windows [0, w] from w = 2t (the new truant lies above t), and
-    after each window without a gap squares w / t: 2t, 4t, 16t, 256t, ...,
-    clipped to bound.  Most new truants lie below 4t, and when the extended
-    set misses nothing the windows below the last one cost a few percent of
-    it; doubling w instead made them cost half as much again as the last.
+    Whether k is in an extended set depends only on rep's values up to k.
+    A sparse set's truant is its first kept value.  A dense set with truant
+    t folds its bits over windows [0, w] from w = 2t (the new truant lies
+    above t), and after each window without a gap squares w / t: 2t, 4t,
+    16t, 256t, ..., clipped to bound; doubling w instead made the trees
+    whose children are mostly universal slower.
     """
     bound = rep._bound
-    values = _values_up_to(m, bound // coeff)
+    values = _values_up_to(m, bound)
     missing = rep._sparse()
     if missing is not None:
         gone = frozenset(missing)
-        return next((k for k in missing if _stays_missing(k, gone, coeff, values)), None)
-    t = rep.truant()
-    w = min(2 * t, bound)
-    while True:
-        mask = _mask(w)
-        gaps = mask ^ _shift_union(rep._bits & mask, coeff, values, w)
-        if gaps:
-            return (gaps & -gaps).bit_length() - 1
-        if w == bound:
-            return None
-        w = min(w * w // t, bound)
+        return [next(_kept(missing, gone, k, values), None) for k in coeffs]
+    bits, t = rep._bits, rep.truant()
+    truants = []
+    for coeff in coeffs:
+        w = min(2 * t, bound)
+        while True:
+            mask = _mask(w)
+            gaps = mask ^ _shift_union(bits & mask, coeff, values, w)
+            if gaps or w == bound:
+                break
+            w = min(w * w // t, bound)
+        truants.append((gaps & -gaps).bit_length() - 1 if gaps else None)
+    return truants
 
 
 def represented_set(form: PolygonalForm, bound: int) -> RepresentationSet:

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mgonal
 from mgonal import Density, GuyReport, deserialize_tree
 from mgonal.cli import CONFORMANCE_EXIT, RESOURCE_EXIT, USAGE_EXIT, main
 
@@ -51,6 +56,39 @@ def test_tree_node_cap_maps_to_resource_exit(capsys):
     assert main(["tree", "--m", "5", "--depth", "6", "--bound", "2000",
                  "--node-cap", "10"]) == RESOURCE_EXIT
     assert "resource cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["tree", "--m", "5"], ["guy", "--m", "10", "--ell", "5"]], ids=["tree", "guy"]
+)
+def test_a_closed_stdout_ends_the_output_quietly(argv):
+    # stdout is a pipe whose read end is already closed, as after `| head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(mgonal.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mgonal.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tree", "--m", "3", "--bound", "100"], ["density", "--gram", "1,1,1,1", "--p", "3", "--h", "8"]],
+    ids=["tree", "density"],
+)
+def test_an_unopenable_out_path_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "no such directory" / "out"
+    expect_usage_error([*argv, "--out", str(path)])
+    assert f"cannot open --out {path}: No such file or directory" in capsys.readouterr().err
+    assert not path.parent.exists()
 
 
 def test_gamma_empirical_line(capsys):
@@ -159,6 +197,13 @@ def test_tau_reports_the_closed_value(capsys):
 def test_tau_off_conductor_has_no_closed_value(capsys):
     assert main(["tau", "--p", "3", "--t", "1", "--N", "5"]) == 0
     assert "closed value" not in capsys.readouterr().out
+
+
+def test_tau_with_a_huge_exponent_hits_the_modulus_cap(capsys):
+    assert main(["tau", "--p", "7", "--t", "10000", "--N", "7"]) == RESOURCE_EXIT
+    assert capsys.readouterr().err == (
+        "resource cap exceeded: modulus 7^10000 exceeds cap 262144\n"
+    )
 
 
 def test_tau_usage_error_for_non_unit_alpha():

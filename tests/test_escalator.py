@@ -76,6 +76,22 @@ def test_children_satisfy_the_escalation_contract():
             assert ch.truant is None or ch.truant > node.truant
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=30),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=1, max_value=3000),
+)
+def test_exactly_the_nodes_with_a_truant_above_max_depth_get_children(m, max_depth, bound):
+    # each truant against a set built from scratch, and children for exactly
+    # the nodes that have a truant and lie above max_depth
+    tree = build_tree(m, max_depth, bound)
+    for node in tree.nodes:
+        assert node.truant == represented_set(node.form, bound).truant()
+        expands = node.truant is not None and node.depth < max_depth
+        assert [ch.form for ch in node.children] == (escalate(node) if expands else [])
+
+
 def test_nodes_are_breadth_first():
     tree = build_tree(4, max_depth=3, bound=500)
     depths = [n.depth for n in tree.nodes]
@@ -165,6 +181,9 @@ COMPLETE_TREES_BOUND_1E5 = {
     16: (127, 12420, "58f39393d0198d647a8a352004156e1f72bf2d2b80489c519872c84d00e360de"),
     17: (149, 16371, "0a82cf551250a298d48bacf0d7621e7fc6acf836db4ba4fc00df65664c38124b"),
     18: (119, 29593, "e4c0d4bcb90e9f5744ac4bd8328a1317e472feb7ca4d45963cd09fa79c91ed4c"),
+    # mostly B-universal children of internal nodes, none of which gets a set
+    19: (132, 44108, "f346118656dd5626a7449535c73a3e5424b45144239b8c97808e37c11645b820"),
+    20: (148, 64177, "ba8bd8838511e3324822e33dc022623db2a32e1a603b08ee9673049e49579f36"),
 }
 
 

@@ -34,8 +34,9 @@ def test_shift_fraction_small_m():
     assert shift_fraction(7) == Fraction(3, 10)
     assert shift_fraction(8) == Fraction(1, 3)
     assert shift_fraction(12) == Fraction(2, 5)
-    with pytest.raises(ValueError):
-        shift_fraction(2)
+    for bad in (2, 3.5, "5", True):
+        with pytest.raises(ValueError, match="number of sides m must be an integer >= 3"):
+            shift_fraction(bad)
 
 
 def test_lattice_from_form_conductors():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -96,6 +97,23 @@ def test_tau_input_validation():
         tau_gauss_sum(2, 1, 1, 4, 2)  # c shares a factor with N
     with pytest.raises(ResourceCapError):
         tau_gauss_sum(2, 19, 1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "p, t, call",
+    [
+        (7, 10**7, lambda: siegel_count_density(7, (1, 1, 1, 1), 1, 10**7)),
+        (2, 20000, lambda: siegel_count_density(2, (1, 1, 1, 1), 1, 20000)),
+        (7, 10000, lambda: tau_gauss_sum(7, 10000, 1, 7, 1)),
+    ],
+)
+def test_huge_exponents_are_refused_before_the_power(p, t, call):
+    # 7**(10**7) takes seconds, and 2**20000 and 7**10000 have more digits
+    # than int -> str allows: the cap names such a modulus only as p^t
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=rf"^modulus {p}\^{t} exceeds cap 262144$"):
+        call()
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def test_extended_truant_on_dense_parents_matches_naive(m, coeffs, bound, coeff)
     parent = represented_set(PolygonalForm(m, coeffs), bound)
     assert len(parent.missing()) > polygonal.SPARSE_MISSING
     expected = ref.naive_truant(m, coeffs + (coeff,), bound)
-    assert polygonal._extended_truant(parent, m, coeff) == expected
+    assert polygonal._extended_truants(parent, m, [coeff]) == [expected]
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,18 +344,23 @@ def test_extended_truant_on_dense_parents_matches_naive(m, coeffs, bound, coeff)
     st.data(),
 )
 def test_extended_truant_matches_extend_set(m, coeffs, bound, as_bits, data):
-    # the truant-only fold against the whole fold, from sparse and dense
-    # parents, for coefficients in and past the escalation range [1, t]
+    # the truant-only folds against the whole folds, from sparse and dense
+    # parents: the whole escalation range [a_n, t] that build_tree asks for,
+    # then coefficients drawn in and past it, in any order
     parent = represented_set(PolygonalForm.of(m, *coeffs), bound)
     if as_bits:
         parent = RepresentationSet(bound, parent.bits)  # peels its gaps when first asked
     top = parent.truant() or bound
-    coeff = data.draw(
-        st.integers(min_value=1, max_value=top + 2)
-        | st.integers(min_value=top + 1, max_value=2 * bound + 2)
+    drawn = data.draw(
+        st.lists(
+            st.integers(min_value=1, max_value=top + 2)
+            | st.integers(min_value=top + 1, max_value=2 * bound + 2),
+            max_size=6,
+        )
     )
-    expected = extend_set(parent, m, coeff).truant()
-    assert polygonal._extended_truant(parent, m, coeff) == expected
+    for ks in (range(max(coeffs, default=1), top + 1), drawn, range(top + 1, top + 4)):
+        expected = [extend_set(parent, m, k).truant() for k in ks]
+        assert polygonal._extended_truants(parent, m, ks) == expected
 
 
 def test_extend_set_rejects_nonpositive_coefficient():
