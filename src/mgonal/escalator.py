@@ -42,9 +42,10 @@ from .polygonal import (
 
 DEFAULT_NODE_CAP = 10**6
 _UNIVERSAL = "universal"
+_NODE_KEYS = frozenset({"coeffs", "truant", "children"})
 
 
-@dataclass
+@dataclass(slots=True)
 class EscalatorNode:
     form: PolygonalForm
     truant: int | None  # None = B-universal
@@ -219,63 +220,80 @@ def deserialize_tree(text: str) -> EscalatorTree:
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise _parse_error("nodes", "expected a nonempty array")
 
+    # Per node, one C-level test per field clears the usual case; an error's
+    # path and message are built only once a check has failed.
     parsed: list[EscalatorNode] = []
     child_indices: list[list[int]] = []
     prev_coeffs: tuple[int, ...] | None = None
     for idx, raw in enumerate(raw_nodes):
-        path = f"nodes[{idx}]"
-        if not isinstance(raw, dict) or set(raw) != {"coeffs", "truant", "children"}:
-            raise _parse_error(path, "expected keys ['children', 'coeffs', 'truant']")
+        if type(raw) is not dict or raw.keys() != _NODE_KEYS:
+            raise _parse_error(
+                f"nodes[{idx}]", "expected keys ['children', 'coeffs', 'truant']"
+            )
         raw_coeffs = raw["coeffs"]
-        if not isinstance(raw_coeffs, list):
-            raise _parse_error(f"{path}.coeffs", "expected an array")
+        if type(raw_coeffs) is not list:
+            raise _parse_error(f"nodes[{idx}].coeffs", "expected an array")
         try:
             form = PolygonalForm(m, tuple(raw_coeffs))
         except ValueError as exc:
-            raise _parse_error(f"{path}.coeffs", str(exc)) from exc
+            raise _parse_error(f"nodes[{idx}].coeffs", str(exc)) from exc
         coeffs = form.coeffs
         if len(coeffs) > max_depth:
-            raise _parse_error(f"{path}.coeffs", "node deeper than max_depth")
+            raise _parse_error(f"nodes[{idx}].coeffs", "node deeper than max_depth")
         if prev_coeffs is not None and coeffs <= prev_coeffs:
             raise _parse_error(
-                f"{path}.coeffs", "nodes must be strictly sorted lexicographically"
+                f"nodes[{idx}].coeffs", "nodes must be strictly sorted lexicographically"
             )
         prev_coeffs = coeffs
-        raw_truant = raw["truant"]
-        if raw_truant == _UNIVERSAL:
-            if not coeffs:
-                raise _parse_error(f"{path}.truant", "the empty form represents only 0")
-            node_truant: int | None = None
-        else:
-            node_truant = _require_int(raw_truant, f"{path}.truant", 1)
+        node_truant = raw["truant"]
+        if node_truant == _UNIVERSAL and coeffs:
+            node_truant = None
+        elif type(node_truant) is not int or not 1 <= node_truant <= bound:
+            path = f"nodes[{idx}].truant"
+            if node_truant == _UNIVERSAL:
+                raise _parse_error(path, "the empty form represents only 0")
+            node_truant = _require_int(node_truant, path, 1)
             if node_truant > bound:
-                raise _parse_error(f"{path}.truant", f"truant exceeds bound {bound}")
-        raw_children = raw["children"]
-        if not isinstance(raw_children, list):
-            raise _parse_error(f"{path}.children", "expected an array")
-        kids = [
-            _require_int(k, f"{path}.children[{j}]", 0)
-            for j, k in enumerate(raw_children)
-        ]
-        if len(set(kids)) != len(kids):
-            raise _parse_error(f"{path}.children", "duplicate child index")
-        if node_truant is None and kids:
-            raise _parse_error(f"{path}.children", "universal nodes have no children")
+                raise _parse_error(path, f"truant exceeds bound {bound}")
+        kids = raw["children"]
+        if type(kids) is not list:
+            raise _parse_error(f"nodes[{idx}].children", "expected an array")
+        if kids:
+            if set(map(type, kids)) != {int} or min(kids) < 0:
+                for j, k in enumerate(kids):
+                    _require_int(k, f"nodes[{idx}].children[{j}]", 0)
+            if len(set(kids)) != len(kids):
+                raise _parse_error(f"nodes[{idx}].children", "duplicate child index")
+            if node_truant is None:
+                raise _parse_error(
+                    f"nodes[{idx}].children", "universal nodes have no children"
+                )
         parsed.append(EscalatorNode(form, node_truant))
         child_indices.append(kids)
 
     for idx, kids in enumerate(child_indices):
+        if not kids:
+            continue
         parent = parsed[idx]
+        # the parent's coefficients, its children's depth and its escalation
+        # range, once per parent
+        prefix = parent.form.coeffs
+        depth = len(prefix) + 1
+        span = _escalation_range(parent)
         for j, k in enumerate(kids):
-            path = f"nodes[{idx}].children[{j}]"
             if k >= len(parsed):
-                raise _parse_error(path, "index out of range")
-            child = parsed[k]
-            extends = child.form.n == parent.form.n + 1
-            if not extends or child.form.coeffs[:-1] != parent.form.coeffs:
-                raise _parse_error(path, "child does not extend parent by one coefficient")
-            if child.form.coeffs[-1] not in _escalation_range(parent):
-                raise _parse_error(path, "child coefficient outside the escalation range")
+                raise _parse_error(f"nodes[{idx}].children[{j}]", "index out of range")
+            coeffs = parsed[k].form.coeffs
+            if len(coeffs) != depth or coeffs[:-1] != prefix:
+                raise _parse_error(
+                    f"nodes[{idx}].children[{j}]",
+                    "child does not extend parent by one coefficient",
+                )
+            if coeffs[-1] not in span:
+                raise _parse_error(
+                    f"nodes[{idx}].children[{j}]",
+                    "child coefficient outside the escalation range",
+                )
         parent.children.extend(parsed[k] for k in sorted(kids))  # ascending, as build_tree
 
     if parsed[0].form.coeffs:
@@ -283,4 +301,5 @@ def deserialize_tree(text: str) -> EscalatorTree:
     if sum(map(len, child_indices)) != len(parsed) - 1:
         raise _parse_error("nodes", "some nodes are unreachable from the root")
     # breadth-first order as build_tree makes it: lexicographic within a depth
-    return EscalatorTree(m, bound, max_depth, sorted(parsed, key=lambda n: n.depth))
+    parsed.sort(key=lambda n: len(n.form.coeffs))
+    return EscalatorTree(m, bound, max_depth, parsed)

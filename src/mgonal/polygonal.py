@@ -84,7 +84,7 @@ def _check_int(value: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolygonalForm:
     """A coefficient vector attached to a polygon size m.
 
@@ -97,11 +97,21 @@ class PolygonalForm:
 
     def __post_init__(self) -> None:
         _check_m(self.m)
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        for a in self.coeffs:
+        coeffs = self.coeffs
+        if not isinstance(coeffs, tuple):
+            coeffs = tuple(coeffs)
+            object.__setattr__(self, "coeffs", coeffs)
+        # one C-level pass for the usual case: exact ints, positive, sorted
+        if (
+            set(map(type, coeffs)) == {int}
+            and coeffs[0] >= 1
+            and list(coeffs) == sorted(coeffs)
+        ):
+            return
+        # otherwise the rules one by one: a bad coefficient before disorder
+        for a in coeffs:
             _check_coeff(a)
-        if any(a > b for a, b in zip(self.coeffs, self.coeffs[1:])):
+        if any(a > b for a, b in zip(coeffs, coeffs[1:])):
             raise ValueError("coefficients must be sorted ascending")
 
     @classmethod

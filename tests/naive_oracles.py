@@ -10,6 +10,7 @@ are additionally frozen as literals in the test modules so regressions in
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -132,3 +133,75 @@ INTERNAL_TRUANTS = {
     (1, 2, 3): 7,
     (1, 2, 4): 8,
 }
+
+
+def valid_tree_document(text: str) -> bool:
+    """Whether text is a tree document by the rules of deserialize_tree's
+    docstring, checked one rule at a time on the whole document:
+
+    - a JSON object with exactly the keys m, bound, max_depth and nodes;
+      m >= 3, bound >= 1 and max_depth >= 0 are integers (never bools);
+    - nodes is a nonempty array of objects with exactly the keys coeffs,
+      truant and children;
+    - coeffs is an ascending array of positive integers, at most max_depth
+      long, and the nodes are in strictly increasing lexicographic order;
+    - truant is "universal" (not for the empty form) or an integer in
+      [1, bound];
+    - children is an array of distinct integers >= 0, empty for a universal
+      node; each names a node whose coeffs are its parent's plus one k with
+      last <= k <= truant (last = 1 for the empty form);
+    - exactly one node, the first, has empty coeffs, and every node is
+      reachable from it.
+    """
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        return False
+
+    def integer(x, least):
+        return type(x) is int and x >= least
+
+    if not isinstance(doc, dict) or sorted(doc) != ["bound", "m", "max_depth", "nodes"]:
+        return False
+    if not (integer(doc["m"], 3) and integer(doc["bound"], 1) and integer(doc["max_depth"], 0)):
+        return False
+    nodes = doc["nodes"]
+    if not isinstance(nodes, list) or not nodes:
+        return False
+    for node in nodes:
+        if not isinstance(node, dict) or sorted(node) != ["children", "coeffs", "truant"]:
+            return False
+        coeffs, truant, children = node["coeffs"], node["truant"], node["children"]
+        if not isinstance(coeffs, list) or not all(integer(a, 1) for a in coeffs):
+            return False
+        if coeffs != sorted(coeffs) or len(coeffs) > doc["max_depth"]:
+            return False
+        if truant == "universal":
+            if not coeffs or children:
+                return False
+        elif not (integer(truant, 1) and truant <= doc["bound"]):
+            return False
+        if not isinstance(children, list) or not all(integer(k, 0) for k in children):
+            return False
+        if len(set(children)) != len(children):
+            return False
+    keys = [tuple(node["coeffs"]) for node in nodes]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return False
+    if [i for i, key in enumerate(keys) if not key] != [0]:
+        return False
+    for node in nodes:
+        for k in node["children"]:
+            if k >= len(nodes):
+                return False
+            child = nodes[k]["coeffs"]
+            last = node["coeffs"][-1] if node["coeffs"] else 1
+            if child[:-1] != node["coeffs"] or len(child) != len(node["coeffs"]) + 1:
+                return False
+            if not last <= child[-1] <= node["truant"]:
+                return False
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [k for i in frontier for k in nodes[i]["children"] if k not in reached]
+        reached.update(frontier)
+    return len(reached) == len(nodes)

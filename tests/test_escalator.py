@@ -207,6 +207,28 @@ def test_complete_trees_beyond_m14_are_pinned(m):
     )
 
 
+def assert_parses_node_by_node(tree):
+    text = serialize_tree(tree)
+    back = deserialize_tree(text)
+    assert len(back.nodes) == len(tree.nodes)
+    for built, parsed in zip(tree.nodes, back.nodes):
+        assert parsed.form == built.form
+        assert parsed.truant == built.truant
+        assert [c.form.coeffs for c in parsed.children] == [
+            c.form.coeffs for c in built.children
+        ]
+    assert serialize_tree(back) == text
+
+
+@pytest.mark.parametrize("m", sorted(TREE_SHA256_DEPTH12_BOUND_2E4))
+def test_pinned_depth12_trees_parse_node_by_node(m):
+    assert_parses_node_by_node(build_tree(m, 12, 20000))
+
+
+def test_pinned_complete_m15_tree_parses_node_by_node():
+    assert_parses_node_by_node(build_tree(15, 19, 100_000))
+
+
 # trees whose deepest level is max_depth, where only the leaves' truants are
 # computed: (m, max_depth, bound) -> (nodes, gamma estimate, sha256).  At
 # bound 1e5 the m = 5 leaves are mostly universal, so their windows grow to
@@ -356,6 +378,53 @@ def test_parse_rejects_unsorted_coefficients():
         i = next(i for i, n in enumerate(doc["nodes"]) if n["coeffs"] == [1, 2])
         doc["nodes"][i]["coeffs"] = [1, bad]
         expect_parse_error(doc, rf"nodes\[{i}\]\.coeffs: .*positive integers")
+
+
+def expect_exact_parse_error(doc, message):
+    with pytest.raises(TreeParseError) as info:
+        deserialize_tree(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def depth3_doc_and_positions():
+    doc = json.loads(serialize_tree(build_tree(3, max_depth=3, bound=100)))
+    return doc, {tuple(n["coeffs"]): i for i, n in enumerate(doc["nodes"])}
+
+
+@pytest.mark.parametrize("bad", [2.0, True])
+def test_parse_rejects_a_non_integer_coefficient_with_its_path(bad):
+    # as the last coefficient and inside a prefix that is itself a node
+    doc, pos = depth3_doc_and_positions()
+    i = pos[(1, 2)]
+    doc["nodes"][i]["coeffs"] = [1, bad]
+    expect_exact_parse_error(
+        doc, f"nodes[{i}].coeffs: coefficients must be positive integers, got {bad!r}"
+    )
+    doc, pos = depth3_doc_and_positions()
+    i = pos[(1, 2, 3)]
+    doc["nodes"][i]["coeffs"] = [1, bad, 3]
+    expect_exact_parse_error(
+        doc, f"nodes[{i}].coeffs: coefficients must be positive integers, got {bad!r}"
+    )
+
+
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_parse_rejects_a_non_integer_truant_with_its_path(bad):
+    doc, pos = depth3_doc_and_positions()
+    i = pos[(1, 1)]
+    doc["nodes"][i]["truant"] = bad
+    expect_exact_parse_error(doc, f"nodes[{i}].truant: expected an integer >= 1, got {bad!r}")
+
+
+@pytest.mark.parametrize("bad", [1.0, True, -1])
+def test_parse_rejects_a_bad_child_index_with_its_path(bad):
+    doc, pos = depth3_doc_and_positions()
+    i = pos[(1,)]
+    assert doc["nodes"][i]["children"][:1] == [pos[(1, 1)]]
+    doc["nodes"][i]["children"][1] = bad
+    expect_exact_parse_error(
+        doc, f"nodes[{i}].children[1]: expected an integer >= 0, got {bad!r}"
+    )
 
 
 def test_parse_rejects_node_order_violation():
@@ -533,10 +602,15 @@ _JSON = st.recursive(
 
 
 def parses_canonically_or_is_rejected(text):
+    """Whether the parser accepts text; an accepted document must be
+    accepted by the naive rule checker too and re-serialize stably, a
+    rejected one must be rejected by it."""
     try:
         tree = deserialize_tree(text)
     except TreeParseError:
+        assert not ref.valid_tree_document(text)
         return False
+    assert ref.valid_tree_document(text)
     first = serialize_tree(tree)
     assert serialize_tree(deserialize_tree(first)) == first
     return True

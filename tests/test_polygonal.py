@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +117,35 @@ def test_form_rejects_bad_coefficients():
         PolygonalForm(2, (1,))
     with pytest.raises(ValueError):
         PolygonalForm(3, (True,))
+
+
+def test_a_bad_coefficient_is_reported_before_disorder():
+    # (2, 0) is also unsorted; the coefficient rule speaks first
+    with pytest.raises(ValueError, match=r"^coefficients must be positive integers, got 0$"):
+        PolygonalForm(5, (2, 0))
+    with pytest.raises(ValueError, match=r"^coefficients must be sorted ascending$"):
+        PolygonalForm(5, (2, 1))
+    for bad in ((1, 2.0), (True, 2), (1, 1, -3)):
+        with pytest.raises(ValueError, match="positive integers"):
+            PolygonalForm(5, bad)
+
+
+def test_int_subclass_coefficients_are_accepted():
+    class Count(int):
+        pass
+
+    form = PolygonalForm(5, (Count(1), 2, Count(2)))
+    assert form.coeffs == (1, 2, 2)
+    assert PolygonalForm(5, [1, 3]).coeffs == (1, 3)  # any sequence becomes a tuple
+
+
+def test_forms_and_nodes_hold_no_instance_dict():
+    node = build_tree(3, max_depth=1, bound=10).root
+    assert not hasattr(node, "__dict__") and not hasattr(node.form, "__dict__")
+    with pytest.raises(AttributeError):
+        node.depth_cache = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.form.m = 4
 
 
 def test_extend_appends_and_keeps_sortedness():
