@@ -100,12 +100,19 @@ def h_of_ell(form: PolygonalForm, ell: int) -> Fraction:
     return Fraction(2 * ell, form.m - 2) + sum(form.coeffs) * s**2
 
 
+def _check_target(h) -> Fraction:
+    """h as a Fraction, once it is exact: an int (not a bool) or a Fraction."""
+    if isinstance(h, bool) or not isinstance(h, (int, Fraction)):
+        raise ValueError(f"target must be an int or a Fraction, got {h!r}")
+    return Fraction(h)
+
+
 def admissible(X: ShiftedDiagonalLattice, h: Fraction | int) -> bool:
     """Integrality condition the density machinery needs of a target:
 
         (h - sum(a_j * (c/N)**2)) * gcd(N, 4) * N / 8  must be an integer.
     """
-    h = Fraction(h)
+    h = _check_target(h)
     val = (h - X.squared_shift_sum) * math.gcd(X.N, 4) * X.N / 8
     return val.denominator == 1
 
@@ -116,12 +123,15 @@ def representation_count(X: ShiftedDiagonalLattice, h: Fraction | int) -> int:
     Clearing denominators, count y_j = N*lambda_j - c (so y_j = -c mod N)
     with sum(a_j * y_j**2) = H = h * N**2.  The count walks remainders
     H - sum(a_j * y_j**2) one coefficient at a time, so prefixes that leave
-    the same remainder are walked once, and the last coefficient is a
-    single square test per remainder.  DEFAULT_CELL_CAP bounds the walk's
-    steps (axis points walked plus square tests), checked before any work
-    is done.
+    the same remainder are walked once.  The last two coefficients are
+    finished in whichever of two ways takes fewer steps: walk the second
+    last per remainder and test the last for a square, or tabulate the
+    values of the last pair once and look every remainder up (a meet in the
+    middle).  DEFAULT_CELL_CAP bounds the steps (axis points walked, pair
+    points tabulated, square tests or lookups), checked before any work is
+    done.
     """
-    h = Fraction(h)
+    h = _check_target(h)
     if h < 0:
         raise ValueError("target must be nonnegative")
     H_frac = h * X.N * X.N
@@ -138,26 +148,44 @@ def representation_count(X: ShiftedDiagonalLattice, h: Fraction | int) -> int:
     def axis(limit: int) -> range:  # the y = -c mod N with |y| <= limit
         return range(-limit + (residue + limit) % N, limit + 1, N)
 
-    # The remainders lie in [0, H] and are at most as many as the points of
-    # the axes walked so far; each walks at most its coefficient's axis.
-    steps, reach = 0, 1
-    for a in coeffs[:-1]:
-        length = len(axis(math.isqrt(H // a)))
-        steps += reach * length
-        reach = min(H + 1, reach * length)
-    steps += reach
+    steps, tabulate = 1, False  # rank 1: one square test
+    if X.n > 1:
+        # The remainders lie in [0, H] and are at most as many as the points
+        # of the axes walked so far; each walks at most its coefficient's axis.
+        lengths = [len(axis(math.isqrt(H // a))) for a in coeffs]
+        head, reach = 0, 1  # walking all but the last two coefficients
+        for length in lengths[:-2]:
+            head += reach * length
+            reach = min(H + 1, reach * length)
+        # walk the second last axis per remainder, then one square test each,
+        walked = reach * lengths[-2]
+        walk = head + walked + min(H + 1, walked)
+        # or tabulate the last pair within its box, then one lookup each
+        pair = head + lengths[-2] * lengths[-1] + reach
+        tabulate = pair < walk
+        steps = min(walk, pair)
     if steps > DEFAULT_CELL_CAP:
         raise ResourceCapError(
             f"remainder walk of ~{steps} steps exceeds cap {DEFAULT_CELL_CAP}"
         )
 
     remainders = Counter({H: 1})
-    for a in coeffs[:-1]:
+    for a in coeffs[:-2] if tabulate else coeffs[:-1]:
         grown: Counter[int] = Counter()
         for rem, n in remainders.items():
             for y in axis(math.isqrt(rem // a)):
                 grown[rem - a * y * y] += n
         remainders = grown
+
+    if tabulate:
+        a, b = coeffs[-2:]
+        top = max(remainders, default=0)  # the head walk may leave none
+        table = Counter(
+            a * y * y + b * z * z
+            for y in axis(math.isqrt(top // a))
+            for z in axis(math.isqrt((top - a * y * y) // b))
+        )
+        return sum(n * table[rem] for rem, n in remainders.items())
 
     a = coeffs[-1]
     total = 0

@@ -20,7 +20,7 @@ escalator nodes cost a few set lookups instead of a pass over the bitset.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 from .errors import ResourceCapError
@@ -135,6 +135,21 @@ class PolygonalForm:
         object.__setattr__(form, "m", self.m)
         object.__setattr__(form, "coeffs", self.coeffs + (coeff,))
         return form
+
+
+# On Python 3.11 the __setattr__ and __delattr__ that dataclass writes for a
+# frozen class with slots name the class that slots replaced, so a name that
+# is not a field raised TypeError; refuse every name instead.
+def _refuse_assignment(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+PolygonalForm.__setattr__ = _refuse_assignment
+PolygonalForm.__delattr__ = _refuse_deletion
 
 
 def _check_coeff(a: int) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,19 @@ def test_count_frozen_examples():
     Z = ShiftedDiagonalLattice((1, 1, 1, 1), 0, 1)
     assert representation_count(Z, 25) == 248
     assert representation_count(Z, 2400) == 2976
+    # and r4(1000) = 8 * (1 + 2) * (1 + 5 + 25 + 125), r4(7777) = 8 * sigma(7 * 11 * 101),
+    # r4(9999) = 8 * sigma(3**2 * 11 * 101)
+    r4 = {1: 8, 2: 24, 3: 32, 4: 24, 96: 96, 1000: 8 * 3 * 156, 7777: 8 * 8 * 12 * 102,
+          9999: 8 * 13 * 12 * 102}
+    for n, count in r4.items():
+        assert representation_count(Z, n) == count
+    # four triangular numbers summing to ell are the vectors of (Z - 1/2)^4
+    # of squared length 2*ell + 1, counted by 16 * sigma(2*ell + 1):
+    # sigma(1999) = 2000 (a prime) and sigma(2001) = sigma(3 * 23 * 29) = 4 * 24 * 30
+    triangular = PolygonalForm.of(3, 1, 1, 1, 1)
+    T = lattice_from_form(triangular)
+    assert representation_count(T, h_of_ell(triangular, 999)) == 16 * 2000
+    assert representation_count(T, h_of_ell(triangular, 1000)) == 16 * 4 * 24 * 30
     # one long axis is a single square test, whatever the target's size
     assert representation_count(ShiftedDiagonalLattice((1,), 0, 1), 10**14) == 2
     # 10^10 = 10^6 * y^2 + z^2 forces z = 1000 * w with y^2 + w^2 = 10^4,
@@ -182,14 +196,71 @@ def test_cell_cap_bounds_the_remainder_walk(monkeypatch):
     six = ShiftedDiagonalLattice((1,) * 6, 0, 1)
     assert representation_count(six, 2000) == 66_601_392
     assert representation_count(ShiftedDiagonalLattice((1,) * 4, 0, 1), 10**4) == 18_744
-    # axes of 89 points: 89 + 89**2 + 3 * 2001 * 89 walk steps, then 2001
-    # square tests, one per remainder in [0, 2000]
-    steps = 89 + 89**2 + 3 * 2001 * 89 + 2001
+    # Axes of 89 points.  The first four are walked: 89 + 89**2 + 2 * 2001 * 89
+    # steps, as the remainders are at most the 2001 values in [0, 2000].  The
+    # last pair is tabulated within its box of 89**2 points, and each of the
+    # 2001 remainders is one lookup.  Walking the fifth axis instead would
+    # charge 2001 * 89 steps, more than the box.
+    steps = 89 + 89**2 + 2 * 2001 * 89 + 89**2 + 2001
     with pytest.raises(ResourceCapError, match=f"~{steps} steps exceeds cap {steps - 1}"):
         monkeypatch.setattr(lattice, "DEFAULT_CELL_CAP", steps - 1)
         representation_count(six, 2000)
     monkeypatch.setattr(lattice, "DEFAULT_CELL_CAP", steps)
     assert representation_count(six, 2000) == 66_601_392
+
+
+def test_cell_cap_bounds_the_walked_path(monkeypatch):
+    # 10^10 = 10^6 * y^2 + z^2: the 201 points |y| <= 100 are walked, then
+    # the 201 remainders are one square test each.  The pair's box would be
+    # 201 * 200_001 points, so the walk is kept.
+    X = ShiftedDiagonalLattice((1, 10**6), 0, 1)
+    steps = 201 + 201
+    with pytest.raises(ResourceCapError, match=f"~{steps} steps exceeds cap {steps - 1}"):
+        monkeypatch.setattr(lattice, "DEFAULT_CELL_CAP", steps - 1)
+        representation_count(X, 10**10)
+    monkeypatch.setattr(lattice, "DEFAULT_CELL_CAP", steps)
+    assert representation_count(X, 10**10) == 20
+    # one long axis is one square test
+    monkeypatch.setattr(lattice, "DEFAULT_CELL_CAP", 1)
+    assert representation_count(ShiftedDiagonalLattice((1,), 0, 1), 10**14) == 2
+
+
+# (1, 1, 2), (1, 1, 1, 2) and (1, 2, 3, 4) tabulate their last pair on
+# nearly every target here; rank 2 always walks it, and so does (1, 2, 5)
+# here.  Each target is a value of the lattice, so the counts are not all
+# zero, and its two neighbours.
+_GRID_GRAMS = ((1, 1), (1, 3), (1, 1, 2), (1, 2, 5), (1, 1, 1, 2), (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("gram", _GRID_GRAMS)
+def test_count_matches_naive_enumeration_on_a_grid(gram):
+    for N in (1, 2, 3, 5, 6):
+        for c in sorted({1 % N, (N - 1) % N}):
+            y = [N * k - c for k in (3, -2, 1, 2)]
+            H = sum(a * v * v for a, v in zip(gram, y))
+            for target in (H - 1, H, H + 1):
+                h = Fraction(target, N * N)
+                assert representation_count(ShiftedDiagonalLattice(gram, c, N), h) == (
+                    ref.shifted_count(gram, c, N, h)
+                ), (gram, c, N, target)
+
+
+def test_count_when_the_walk_leaves_no_remainder():
+    # y = -1 mod 2: 2 * y**2 = 2 for y = +-1 leaves remainder 0, and the
+    # next axis has no odd y with y**2 <= 0, so nothing is left to look up.
+    X = ShiftedDiagonalLattice((1, 1, 1, 2), 1, 2)
+    assert representation_count(X, Fraction(1, 2)) == 0
+    assert ref.shifted_count(X.gram, 1, 2, Fraction(1, 2)) == 0
+
+
+@pytest.mark.parametrize("target", [25.0, "25", True, False, None, 2 + 0j])
+def test_targets_must_be_exact(target):
+    X = ShiftedDiagonalLattice((1, 1), 0, 1)
+    message = f"target must be an int or a Fraction, got {target!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        representation_count(X, target)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        admissible(X, target)
 
 
 def test_count_on_the_empty_lattice():

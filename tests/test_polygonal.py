@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,29 @@ def test_forms_and_nodes_hold_no_instance_dict():
         node.depth_cache = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         node.form.m = 4
+
+
+def test_forms_refuse_every_assignment_and_survive_copies():
+    form = PolygonalForm(5, (1, 2))
+    assert form.__slots__ == ("m", "coeffs")
+    for name in ("m", "coeffs", "x"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(form, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(form, name)
+    assert form == PolygonalForm(5, (1, 2))
+    # extend builds its form without running the checks or the frozen __setattr__
+    extended = form.extend(4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        extended.x = 1
+    for f in (form, extended, PolygonalForm(3, ())):
+        copies = [copy.copy(f), copy.deepcopy(f)]
+        copies += [pickle.loads(pickle.dumps(f, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for g in copies:
+            assert type(g) is PolygonalForm and g == f and hash(g) == hash(f)
+            assert (g.m, g.coeffs) == (f.m, f.coeffs)
+    assert extended == PolygonalForm(5, (1, 2, 4)) and hash(extended) == hash(PolygonalForm(5, (1, 2, 4)))
+    assert form != extended and PolygonalForm(6, (1, 2)) != form
 
 
 def test_extend_appends_and_keeps_sortedness():
