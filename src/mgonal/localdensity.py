@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalConsistencyError, ResourceCapError, WrongDispatchError
-from .lattice import ShiftedDiagonalLattice, _check_gram, admissible
+from .lattice import ShiftedDiagonalLattice, _check_gram, _check_target, admissible
 from .polygonal import _check_int
 
 DEFAULT_ORACLE_MODULUS_CAP = 1 << 18
@@ -79,7 +79,7 @@ def frac_valuation(h: Fraction, p: int) -> int:
 
 def _integral_target(h: Fraction | int, p: int) -> tuple[Fraction, int]:
     """(h, ord_p h) for a target that must be positive and p-adically integral."""
-    h = Fraction(h)
+    h = _check_target(h)
     if h <= 0:
         raise ValueError("target must be positive")
     a = frac_valuation(h, p)
@@ -391,7 +391,7 @@ def stabilization_threshold(p: int, gram: tuple[int, ...], h: Fraction | int) ->
     2 * ord_p(2 * det) + ord_p(h) + 1."""
     _check_prime(p)
     gram = _check_gram(gram)
-    h = Fraction(h)
+    h = _check_target(h)
     if h <= 0:
         raise ValueError("target must be positive")
     det_ord = (1 if p == 2 else 0) + sum(_valuation(a, p) for a in gram)
@@ -469,11 +469,14 @@ def _level(p: int, t: int) -> tuple[dict, tuple, tuple, tuple, tuple]:
 
 
 @lru_cache(maxsize=64)
-def _class_tables(p: int, t: int) -> tuple[dict, tuple, tuple]:
-    """(index, pairs, coordinates) for Z/p^t: index numbers the classes;
-    for a representative r of class C, pairs[C] lists (i, j, n) with n the
-    number of w in class i with r - w in class j; coordinates[c][C] counts
-    the x with a*x^2 equal to one element of class C, a in class c."""
+def _class_tables(p: int, t: int) -> tuple[dict, tuple, tuple, tuple]:
+    """(index, pairs, coordinates, by_last) for Z/p^t: index numbers the
+    classes; for a representative r of class C, pairs[C] lists (i, j, n)
+    with n the number of w in class i with r - w in class j; coordinates[c][C]
+    counts the x with a*x^2 equal to one element of class C, a in class c.
+    by_last[j] is (rows, entries): the entries of pairs whose second summand
+    lies in class j, the same (i, j, n) objects, and rows[k] the class C of
+    the row that entries[k] lies in."""
     index, reps, pairs, sizes, squares = _level(p, t)
     M = p**t
     coordinates = []
@@ -484,19 +487,34 @@ def _class_tables(p: int, t: int) -> tuple[dict, tuple, tuple]:
             if n:
                 totals[index[_square_class(a * reps[c] % M, p, t)]] += n
         coordinates.append(tuple(total // size for total, size in zip(totals, sizes)))
-    return index, pairs, tuple(coordinates)
+    by_last = [([], []) for _ in reps]
+    for C, row in enumerate(pairs):
+        for entry in row:
+            rows, entries = by_last[entry[1]]
+            rows.append(C)
+            entries.append(entry)
+    by_last = tuple((tuple(rows), tuple(entries)) for rows, entries in by_last)
+    return index, pairs, tuple(coordinates), by_last
 
 
 @lru_cache(maxsize=4096)
 def _class_distribution(p: int, t: int, classes: tuple[int, ...]) -> tuple[int, ...]:
     """Count of sum(a_j x_j^2) = v mod p^t for one v in each class, the a_j
-    in the given classes; one table sum per class and coefficient."""
-    _, pairs, coordinates = _class_tables(p, t)
+    in the given classes.  Each level scatters over the nonzero terms only:
+    for every class j the last coefficient reaches, the pair entries (i, j, n)
+    with head[i] nonzero add n * head[i] * last[j] to their row's class."""
+    _, _, coordinates, by_last = _class_tables(p, t)
     last = coordinates[classes[-1]]
     if len(classes) == 1:
         return last
     head = _class_distribution(p, t, classes[:-1])
-    return tuple(sum(n * head[i] * last[j] for i, j, n in row) for row in pairs)
+    out = [0] * len(last)
+    for lj, (rows, entries) in zip(last, by_last):
+        if lj:
+            for C, (i, _, n) in zip(rows, entries):
+                if head[i]:
+                    out[C] += n * head[i] * lj
+    return tuple(out)
 
 
 def _residue_count_density(p: int, t: int, gram: tuple[int, ...], h: Fraction) -> Fraction:
@@ -560,7 +578,7 @@ def local_density(
     _check_prime(p)
     if X.n == 0 or math.gcd(*X.gram) != 1:
         raise ValueError("gram must be nonempty with coprime entries")
-    h = Fraction(h)
+    h = _check_target(h)
     if not admissible(X, h):
         raise ValueError(f"target {h} fails the admissibility condition")
     if X.N % p == 0:
@@ -690,7 +708,7 @@ def verify_case_bounds(
 
     if p != 2:
         for h in h_values:
-            h = Fraction(h)
+            h = _check_target(h)
             value = yang_density_odd(jd, h).value
             r1 = value - 1
             method = f"{label}_bound"
@@ -731,7 +749,7 @@ def verify_case_bounds(
         if sharpened:
             series_row("lemma5_middle_sharpened", middle, Fraction(1, 2) - _pow_frac(2, r4 - rn))
     for h in h_values:
-        h = Fraction(h)
+        h = _check_target(h)
         value = yang_density_two(jd, h).value
         ok = 0 < value <= 2
         rows.append(

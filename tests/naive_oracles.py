@@ -102,6 +102,13 @@ def square_class_tables(p: int, t: int) -> tuple[list[int], dict, dict]:
     return orbit, pairs, coordinates
 
 
+def class_convolution(pairs, head, last) -> tuple[int, ...]:
+    """The class distribution of a form with one more coefficient: for each
+    row C, the sum over its pair entries (i, j, n) of n * head[i] * last[j],
+    zero terms included."""
+    return tuple(sum(n * head[i] * last[j] for i, j, n in row) for row in pairs)
+
+
 def quaternary_figure() -> list[tuple[int, int, int, int]]:
     """The depth-4 coefficient vectors every large-m escalator tree shares:
     six ternary stems, each extended through its own coefficient window."""

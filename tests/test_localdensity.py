@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import ast
+import inspect
+import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -214,7 +218,7 @@ def test_oracle_matches_naive_residue_counting(p, t, gram, targets):
     + [(7, t) for t in range(1, 5)],
 )
 def test_class_tables_match_per_residue_counts(p, t):
-    index, pairs, coordinates = localdensity._class_tables(p, t)
+    index, pairs, coordinates, by_last = localdensity._class_tables(p, t)
     orbit, ref_pairs, ref_coordinates = ref.square_class_tables(p, t)
     # Each class of the table must be exactly one unit-square orbit.
     number = {}
@@ -231,6 +235,44 @@ def test_class_tables_match_per_residue_counts(p, t):
         assert coordinates[number[a]] == tuple(
             n for _, n in sorted((number[C], n) for C, n in counts.items())
         )
+    # by_last regroups the very entries of pairs by their second summand.
+    assert len(by_last) == len(index)
+    grouped = Counter()
+    for j, (rows, entries) in enumerate(by_last):
+        assert len(rows) == len(entries)
+        assert all(entry[1] == j for entry in entries)
+        grouped.update((C, id(entry), *entry) for C, entry in zip(rows, entries))
+    assert grouped == Counter(
+        (C, id(entry), *entry) for C, row in enumerate(pairs) for entry in row
+    )
+
+
+SMALL_TABLES = [(p, t) for p in (2, 3, 5, 7, 11, 13) for t in range(1, 13) if p**t <= 4096]
+
+
+def test_class_distribution_matches_the_naive_convolution_on_every_pair():
+    # The scatter over nonzero terms against the plain row sums, for every
+    # ordered pair of coefficient classes of every small table.
+    for p, t in SMALL_TABLES:
+        _, pairs, coordinates, _ = localdensity._class_tables(p, t)
+        for a, head in enumerate(coordinates):
+            for b, last in enumerate(coordinates):
+                fast = localdensity._class_distribution(p, t, (a, b))
+                assert fast == ref.class_convolution(pairs, head, last), (p, t, a, b)
+
+
+@pytest.mark.parametrize("p,t", [(2, 10), (2, 14), (3, 11), (5, 7), (7, 6)])
+def test_class_distribution_matches_the_naive_convolution_on_random_ranks(p, t):
+    # 2^14 is the largest modulus of the densities benchmark; the odd primes
+    # take the largest exponent under DEFAULT_ORACLE_MODULUS_CAP.
+    _, pairs, coordinates, _ = localdensity._class_tables(p, t)
+    rng = random.Random(p * 100 + t)
+    for _ in range(12):
+        classes = tuple(rng.randrange(len(coordinates)) for _ in range(rng.randint(3, 6)))
+        want = coordinates[classes[0]]
+        for c in classes[1:]:
+            want = ref.class_convolution(pairs, want, coordinates[c])
+        assert localdensity._class_distribution(p, t, classes) == want, classes
 
 
 def test_oracle_stabilizes_at_the_threshold():
@@ -287,6 +329,25 @@ def test_oracle_input_validation(monkeypatch):
     assert siegel_count_density(3, (1, 1, 1, 1), 1, 2).stabilized
 
 
+@pytest.mark.parametrize("target", [8.0, 8.5, "8", True, False, None])
+def test_density_targets_must_be_exact(target):
+    gram = (1, 1, 1, 1)
+    X = ShiftedDiagonalLattice(gram, 0, 1)
+    message = f"target must be an int or a Fraction, got {target!r}"
+    for call in (
+        lambda: local_density(X, target, 3),
+        lambda: local_density(X, target, 3, check_oracle=True),
+        lambda: siegel_count_density(3, gram, target, 3),
+        lambda: stabilization_threshold(3, gram, target),
+        lambda: yang_density_odd(jordan_decompose(3, gram), target),
+        lambda: yang_density_two(jordan_decompose(2, gram), target),
+        lambda: verify_case_bounds(jordan_decompose(3, (1, 1, 1, 1, 1, 9)), [target]),
+        lambda: verify_case_bounds(jordan_decompose(2, (1, 3, 2, 8, 16, 32)), [target]),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from([2, 3]),
@@ -313,6 +374,51 @@ def test_yang_two_matches_the_oracle_at_the_cap(gram, h):
     oracle = siegel_count_density(2, gram, h, t)
     assert oracle.stabilized
     assert oracle.value == yang_density_two(jordan_decompose(2, gram), h).value
+
+
+def _reach(graph: dict[str, set[str]], start: str) -> set[str]:
+    """The names reachable from start in the call graph, start included."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [m for n in frontier for m in graph[n] if m not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def test_the_two_density_routes_stay_independent():
+    # The call graph of localdensity's module-level names: each name points
+    # at the module-level names its definition refers to.
+    tree = ast.parse(inspect.getsource(localdensity))
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    graph = {
+        name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in defs}
+        for name, node in defs.items()
+    }
+    formula_only = {
+        "yang_density_odd", "yang_density_two", "density_p_dividing_N",
+        "jordan_decompose", "_d_of_t", "_l_indices", "_pow_frac",
+        "_two_adic_term", "_kronecker2", "_unit_part_mod",
+    } | {name for name in defs if name.startswith("tau_")}
+    oracle_only = {"_level", "_class_tables", "_class_distribution", "_residue_count_density"}
+    assert formula_only | oracle_only <= set(defs)
+    assert not _reach(graph, "siegel_count_density") & formula_only
+    for entry in ("yang_density_odd", "yang_density_two", "density_p_dividing_N"):
+        assert not _reach(graph, entry) & (oracle_only | {"siegel_count_density"}), entry
+    # The routes meet only where local_density asks _oracle_check to
+    # recompute a formula value.
+    assert {n for n in defs if "siegel_count_density" in graph[n]} == {"_oracle_check"}
+    assert {n for n in defs if "_oracle_check" in graph[n]} == {"local_density"}
+    meeting = {
+        name
+        for name in defs
+        if "siegel_count_density" in _reach(graph, name)
+        and {"yang_density_odd", "yang_density_two"} & _reach(graph, name)
+    }
+    assert meeting == {"local_density"}
 
 
 # ---------------------------------------------------------------------------
