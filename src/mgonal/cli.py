@@ -122,9 +122,7 @@ def _write(text: str, out_path: str | None = None) -> None:
 def _cmd_tree(args, parser: argparse.ArgumentParser) -> int:
     if args.m < 3 or args.depth < 1 or args.bound < 1:
         parser.error("need m >= 3, depth >= 1, bound >= 1")
-    tree = escalator.build_tree(
-        args.m, args.depth, args.bound, node_cap=args.node_cap, on_cap="error"
-    )
+    tree = escalator.build_tree(args.m, args.depth, args.bound, node_cap=args.node_cap)
     _write(escalator.serialize_tree(tree), args.out)
     leaves = sum(1 for n in tree.nodes if n.truant is None)
     frontier = sum(1 for n in tree.nodes if n.depth == args.depth)
@@ -144,14 +142,14 @@ def _cmd_tree(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_gamma(args, parser: argparse.ArgumentParser) -> int:
     if args.m < 3 or args.bound < 1 or args.depth_cap < 1:
         parser.error("need m >= 3, bound >= 1, depth-cap >= 1")
-    tree = escalator.build_tree(
-        args.m, args.depth_cap, args.bound, node_cap=args.node_cap, on_cap="truncate"
+    truants, nodes, complete = escalator.walk_summary(
+        args.m, args.depth_cap, args.bound, node_cap=args.node_cap
     )
-    value = tree.gamma_estimate
-    if tree.complete:
+    value = truants[-1]
+    if complete:
         _write(
             f"gamma_{args.m} = {value} (empirical for bound {args.bound}; "
-            f"{len(tree.nodes)} nodes, every frontier form universal up to the bound)"
+            f"{nodes} nodes, every frontier form universal up to the bound)"
         )
     else:
         _write(

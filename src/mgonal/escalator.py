@@ -21,7 +21,8 @@ set in [0, B]: whether k is represented by a child depends only on the
 parent's values up to k, so a fold over a window [0, w] that grows until it
 holds a missing value (or reaches B) decides the child's truant.  Only a
 child that gets children of its own (it has a truant and lies above
-max_depth) has its whole set folded.
+max_depth) has its whole set folded.  build_tree and walk_summary read
+one breadth-first walk that keeps no more than those sets.
 """
 
 from __future__ import annotations
@@ -96,12 +97,32 @@ def _escalation_range(node: EscalatorNode) -> range:
     return range(lo, node.truant + 1)
 
 
-def escalate(node: EscalatorNode) -> list[PolygonalForm]:
-    """All one-coefficient extensions of node's form that represent its
-    truant, in ascending coefficient order."""
-    if node.truant is None:
-        raise ValueError("cannot escalate a universal node (no truant)")
-    return [node.form.extend(k) for k in _escalation_range(node)]
+def _walk(m: int, max_depth: int, bound: int, node_cap: int):
+    """build_tree's nodes in its order, as (parent position, depth,
+    coefficient, truant), the root's (None, 0, None, 1), after checking the
+    arguments of both readers.  The queue holds only expanding nodes' sets."""
+    _check_int(max_depth, "max_depth")
+    _check_int(bound, "bound")
+    _check_int(node_cap, "node_cap")
+    if max_depth < 0:
+        raise ValueError("max_depth must be nonnegative")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if node_cap < 1:
+        raise ValueError("node_cap must be >= 1")
+    rep = represented_set(PolygonalForm(m, ()), bound)
+    yield None, 0, None, rep.truant()
+    queue = deque([(0, 0, 1, rep.truant(), rep)] if max_depth else [])
+    position = 0
+    while queue:  # (position, depth, last coefficient, truant, set)
+        parent, depth, lo, t, rep = queue.popleft()
+        depth += 1
+        coeffs = range(lo, t + 1)  # the escalation range
+        for k, truant in zip(coeffs, _extended_truants(rep, m, coeffs)):
+            yield parent, depth, k, truant
+            position += 1
+            if truant is not None and depth < max_depth:
+                queue.append((position, depth, k, truant, extend_set(rep, m, k)))
 
 
 def build_tree(
@@ -110,48 +131,42 @@ def build_tree(
     bound: int = DEFAULT_BOUND,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    on_cap: str = "error",
 ) -> EscalatorTree:
     """Breadth-first escalator tree down to max_depth.
 
     Children are generated in ascending coefficient order, so the node list
-    is deterministic.  A node's children take their truants from one pass
-    over its set; a child keeps a set, folded whole, only when it gets
-    children: it has a truant and lies above max_depth.  When the node cap
-    is hit, on_cap="error" raises ResourceCapError while on_cap="truncate"
-    stops expanding and returns the (incomplete) partial tree; leaves count
-    toward the cap like every node.
+    is deterministic.  A tree of more than node_cap nodes raises
+    ResourceCapError; leaves count toward the cap like every node.
     """
-    _check_int(max_depth, "max_depth")
-    _check_int(bound, "bound")
-    _check_int(node_cap, "node_cap")
-    if max_depth < 0:
-        raise ValueError("max_depth must be nonnegative")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if on_cap not in ("error", "truncate"):
-        raise ValueError(f"on_cap must be 'error' or 'truncate', got {on_cap!r}")
-    root_form = PolygonalForm(m, ())
-    root_rep = represented_set(root_form, bound)
-    root = EscalatorNode(root_form, root_rep.truant())
-    nodes = [root]
-    queue = deque([(root, root_rep)] if max_depth else [])
-    while queue:  # nodes that get children, each with its set
-        node, rep = queue.popleft()
-        coeffs = _escalation_range(node)
-        for k, truant in zip(coeffs, _extended_truants(rep, m, coeffs)):
-            if len(nodes) >= node_cap:
-                if on_cap == "error":
-                    raise ResourceCapError(
-                        f"escalator tree for m={m} exceeded node cap {node_cap}"
-                    )
-                return EscalatorTree(m, bound, max_depth, nodes)
-            child = EscalatorNode(node.form.extend(k), truant)
-            node.children.append(child)
+    nodes: list[EscalatorNode] = []
+    for parent, _, k, truant in _walk(m, max_depth, bound, node_cap):
+        if len(nodes) == node_cap:
+            raise ResourceCapError(f"escalator tree for m={m} exceeded node cap {node_cap}")
+        if parent is None:
+            nodes.append(EscalatorNode(PolygonalForm(m, ()), truant))
+        else:
+            child = EscalatorNode(nodes[parent].form.extend(k), truant)
+            nodes[parent].children.append(child)
             nodes.append(child)
-            if truant is not None and child.depth < max_depth:
-                queue.append((child, extend_set(rep, m, k)))
     return EscalatorTree(m, bound, max_depth, nodes)
+
+
+def walk_summary(
+    m: int, max_depth: int = 4, bound: int = DEFAULT_BOUND, *, node_cap: int = DEFAULT_NODE_CAP
+) -> tuple[list[int], int, bool]:
+    """(truants, len(nodes), complete) of build_tree's tree cut to its first
+    node_cap nodes, without the tree: S_m, ascending, when complete.  The
+    cut tree is complete when it is whole and no max_depth node has a truant."""
+    truants: set[int] = set()
+    nodes, complete = 0, True
+    for _, depth, _, truant in _walk(m, max_depth, bound, node_cap):
+        if nodes == node_cap:
+            return sorted(truants), nodes, False
+        nodes += 1
+        if truant is not None:
+            truants.add(truant)
+            complete = complete and depth < max_depth
+    return sorted(truants), nodes, complete
 
 
 def serialize_tree(tree: EscalatorTree) -> str:

@@ -43,8 +43,7 @@ def polygonal_value(m: int, x: int) -> int:
     exact.
     """
     _check_m(m)
-    if not isinstance(x, int):
-        raise ValueError(f"index must be an integer, got {x!r}")
+    _check_int(x, "index")
     return ((m - 2) * x * x - (m - 4) * x) // 2
 
 

@@ -58,6 +58,14 @@ def test_tree_node_cap_maps_to_resource_exit(capsys):
     assert "resource cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tree", "gamma"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_a_node_cap_below_one_is_a_usage_error(command, cap, capsys):
+    expect_usage_error([command, "--m", "3", "--bound", "2000", "--node-cap", cap])
+    out, err = capsys.readouterr()
+    assert out == "" and "node_cap must be >= 1" in err
+
+
 @pytest.mark.parametrize(
     "argv", [["tree", "--m", "5"], ["guy", "--m", "10", "--ell", "5"]], ids=["tree", "guy"]
 )
@@ -228,6 +236,12 @@ CLI_GOLDEN = [
      "244268e4733dd4424f286740671affc64b0aa828bcd7c434599e74f8a3501ffb", EMPTY_SHA256, 0),
     (["tau", "--p", "3", "--t", "2", "--N", "3", "--c", "1"],
      "eb9c0cc0b83b0dd413130eb5e136cf012aa6abcac74d9890dbec533e4fed9915", EMPTY_SHA256, 0),
+    (["gamma", "--m", "3", "--bound", "2000", "--node-cap", "13"],
+     "abc31a7e8cc48b9945fd90806b07ac6ee3f3485b6a7c3d00689fcda0e15c5d81", EMPTY_SHA256, 0),
+    (["gamma", "--m", "15", "--bound", "20000", "--node-cap", "3000"],
+     "2db543b4b8eb85ea9b563a444b9a975b412606b3a1dfe10f157d3e0182795a53", EMPTY_SHA256, 0),
+    (["gamma", "--m", "8", "--bound", "100000"],
+     "5f7658abd3e1eb26b2a81384f3209a09e176b4508dbef86baa000fa56c8fafae", EMPTY_SHA256, 0),
 ]
 
 

@@ -14,11 +14,11 @@ from mgonal import (
     TreeParseError,
     build_tree,
     deserialize_tree,
-    escalate,
     represented_set,
     serialize_tree,
+    walk_summary,
 )
-from mgonal.escalator import EscalatorNode
+from mgonal.escalator import EscalatorNode, EscalatorTree
 
 # ---------------------------------------------------------------------------
 # building
@@ -49,14 +49,24 @@ def test_root_is_the_empty_form_with_truant_one():
 
 
 def test_escalating_the_root_gives_the_unit_coefficient():
-    tree = build_tree(7, max_depth=0, bound=100)
-    assert [f.coeffs for f in escalate(tree.root)] == [(1,)]
+    tree = build_tree(7, max_depth=1, bound=100)
+    assert [ch.form.coeffs for ch in tree.root.children] == [(1,)]
 
 
-def test_escalating_a_universal_node_is_an_error():
-    node = EscalatorNode(PolygonalForm.of(3, 1, 1, 1), None)
-    with pytest.raises(ValueError):
-        escalate(node)
+def escalations(node):
+    """Every one-coefficient extension of the node's form from its last
+    coefficient (1 for the empty form) up to its truant."""
+    lo = node.form.coeffs[-1] if node.form.coeffs else 1
+    return [node.form.extend(k) for k in range(lo, node.truant + 1)]
+
+
+def cut(tree, cap):
+    """The tree's first cap nodes in breadth-first order, copied, each with
+    its children that are kept."""
+    copies = {id(n): EscalatorNode(n.form, n.truant) for n in tree.nodes[:cap]}
+    for n in tree.nodes[:cap]:
+        copies[id(n)].children = [copies[id(c)] for c in n.children if id(c) in copies]
+    return EscalatorTree(tree.m, tree.bound, tree.max_depth, list(copies.values()))
 
 
 def test_children_satisfy_the_escalation_contract():
@@ -89,7 +99,7 @@ def test_exactly_the_nodes_with_a_truant_above_max_depth_get_children(m, max_dep
     for node in tree.nodes:
         assert node.truant == represented_set(node.form, bound).truant()
         expands = node.truant is not None and node.depth < max_depth
-        assert [ch.form for ch in node.children] == (escalate(node) if expands else [])
+        assert [ch.form for ch in node.children] == (escalations(node) if expands else [])
 
 
 def test_nodes_are_breadth_first():
@@ -106,7 +116,7 @@ def test_gamma_estimate_is_monotone_in_depth():
 def test_node_cap_error_and_truncate():
     with pytest.raises(ResourceCapError):
         build_tree(3, max_depth=5, bound=2000, node_cap=5)
-    tree = build_tree(3, max_depth=5, bound=2000, node_cap=5, on_cap="truncate")
+    tree = cut(build_tree(3, max_depth=5, bound=2000), 5)
     assert len(tree.nodes) <= 5
     assert not tree.complete
 
@@ -114,21 +124,41 @@ def test_node_cap_error_and_truncate():
 def test_a_tree_stopped_by_the_node_cap_is_incomplete():
     # the full tree has 18 nodes; under caps 13..17 node (1, 1, 3), truant 8,
     # gets only some of its six children
+    full = build_tree(3, max_depth=12, bound=2000)
     for cap in range(1, 18):
-        tree = build_tree(3, max_depth=12, bound=2000, node_cap=cap, on_cap="truncate")
+        tree = cut(full, cap)
         assert len(tree.nodes) == cap
         assert not tree.complete, cap
         assert not deserialize_tree(serialize_tree(tree)).complete, cap
-    assert build_tree(3, max_depth=12, bound=2000, node_cap=18, on_cap="truncate").complete
+    assert build_tree(3, max_depth=12, bound=2000, node_cap=18).complete
 
 
-def test_on_cap_value_is_validated():
+@pytest.mark.parametrize("build", [build_tree, walk_summary])
+def test_build_arguments_are_validated(build):
+    with pytest.raises(TypeError):
+        build(3, max_depth=2, bound=100, on_cap="truncate")  # the option is gone
     with pytest.raises(ValueError):
-        build_tree(3, max_depth=2, bound=100, on_cap="ignore")
-    with pytest.raises(ValueError):
-        build_tree(3, max_depth=-1, bound=100)
+        build(3, max_depth=-1, bound=100)
     with pytest.raises(ValueError, match="bound must be >= 1"):
-        build_tree(3, max_depth=2, bound=0)
+        build(3, max_depth=2, bound=0)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="node_cap must be >= 1"):
+            build(3, max_depth=2, bound=100, node_cap=cap)
+
+
+@pytest.mark.parametrize("m", range(3, 14))
+def test_walk_summary_is_the_tree_cut_at_the_node_cap(m):
+    # the gamma command's fold against build_tree's tree, cut at caps from 1
+    # to one past its size
+    for max_depth in (0, 1, 2, 3, 5, 8, 12):
+        for bound in (1, 7, 50, 2000):
+            full = build_tree(m, max_depth, bound)
+            n = len(full.nodes)
+            for cap in sorted({1, 2, n // 3, n // 2, n - 1, n, n + 1} - {0}):
+                tree = cut(full, cap)
+                assert walk_summary(m, max_depth, bound, node_cap=cap) == (
+                    tree.truants, len(tree.nodes), tree.complete
+                ), (max_depth, bound, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +284,63 @@ def test_trees_with_max_depth_leaves_are_pinned(args):
     )
 
 
+# (nodes, gamma_m, S_m) of build_tree's complete trees at bound 1e5 and depth
+# cap m + 4, reached by the walk without keeping a tree.  gamma_m is not
+# monotone in m: gamma_23 = 196 < gamma_22 = 227.
+WALKED_BOUND_1E5 = {
+    21: (99786, 155, [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 22,
+        23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 37, 38, 39, 40, 41,
+        43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 56, 57, 58, 59, 62, 66, 67,
+        68, 70, 71, 73, 75, 76, 77, 78, 79, 80, 81, 82, 83, 85, 86, 87, 88, 89,
+        92, 94, 95, 99, 100, 101, 104, 106, 107, 114, 125, 130, 139, 143, 152,
+        155
+    ]),
+    22: (140671, 227, [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 21,
+        23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 39, 40, 41,
+        42, 43, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 59, 60, 61, 62,
+        65, 69, 70, 71, 73, 74, 75, 77, 79, 80, 81, 82, 83, 84, 85, 86, 87, 89,
+        90, 91, 92, 93, 94, 97, 98, 99, 100, 103, 104, 105, 106, 108, 109, 111,
+        112, 113, 120, 121, 131, 137, 140, 142, 144, 146, 149, 160, 170, 187,
+        227
+    ]),
+    23: (182404, 196, [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 21,
+        22, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 41,
+        42, 43, 44, 45, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 62,
+        63, 64, 65, 68, 72, 73, 74, 76, 77, 78, 79, 81, 82, 83, 84, 85, 86, 87,
+        88, 89, 90, 91, 93, 94, 95, 96, 97, 98, 99, 102, 103, 104, 105, 109,
+        110, 111, 113, 114, 116, 117, 118, 119, 121, 126, 127, 137, 144, 147,
+        149, 156, 157, 166, 189, 196
+    ]),
+    24: (274578, 242, [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+        22, 23, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40,
+        41, 43, 44, 45, 46, 47, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60,
+        61, 62, 65, 66, 67, 68, 71, 75, 76, 77, 79, 80, 81, 82, 83, 85, 86, 87,
+        88, 89, 90, 91, 92, 93, 94, 95, 97, 98, 99, 100, 101, 102, 103, 104,
+        107, 108, 109, 110, 112, 113, 114, 115, 116, 118, 119, 121, 122, 123,
+        124, 125, 130, 132, 143, 154, 164, 242
+    ]),
+}
+
+
+@pytest.mark.parametrize("m", sorted(WALKED_BOUND_1E5))
+def test_walk_summary_past_m20_is_pinned(m):
+    truants, nodes, complete = walk_summary(m, m + 4, 100_000)
+    assert complete
+    assert (nodes, truants[-1], truants) == WALKED_BOUND_1E5[m]
+
+
 def test_node_cap_inside_the_leaf_level_is_pinned():
     # m = 19 at depth 5 has 37 nodes above depth 5 and 193 at it
-    tree = build_tree(19, 5, 10_000, node_cap=150, on_cap="truncate")
+    tree = cut(build_tree(19, 5, 10_000), 150)
     assert sum(n.depth == 5 for n in tree.nodes) == 113
     assert (len(tree.nodes), tree.gamma_estimate, _sha256(tree)) == (
         150, 94, "6c2cd3e5aa5d1ebab2ca919aefab04ecb0d9f908f2c3a6fb787082ecf74bd446"
     )
+    assert walk_summary(19, 5, 10_000, node_cap=150) == (tree.truants, 150, False)
     with pytest.raises(ResourceCapError, match="exceeded node cap 229"):
         build_tree(19, 5, 10_000, node_cap=229)
     assert len(build_tree(19, 5, 10_000, node_cap=230).nodes) == 230

@@ -28,6 +28,7 @@ from mgonal import (
     polygonal_values_up_to,
     represented_set,
     truant,
+    walk_summary,
 )
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,10 @@ def test_value_rejects_bad_inputs():
         polygonal_value(2, 1)
     with pytest.raises(ValueError):
         polygonal_value(5, 1.5)
+    with pytest.raises(ValueError, match=r"^index must be an integer, got True$"):
+        polygonal_value(5, True)
+    with pytest.raises(ValueError, match=r"^index must be an integer, got 1\.0$"):
+        polygonal_value(5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +213,10 @@ def test_extend_appends_and_keeps_sortedness():
         lambda x: tau_gauss_sum(3, 1, 1, 3, x),
         lambda x: density_p_dividing_N(3, x),
         lambda x: siegel_count_density(3, (1, 1, 1, 1), 1, 1, N=x),
+        lambda x: walk_summary(3, 2, x),
+        lambda x: walk_summary(3, x, 100),
+        lambda x: walk_summary(3, 2, 100, node_cap=x),
+        lambda x: polygonal_value(5, x),
     ],
 )
 def test_sizes_and_bounds_must_be_integers(call):
