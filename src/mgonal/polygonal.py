@@ -8,8 +8,11 @@ A "form" here is a multiset of positive coefficients [a_1, ..., a_n]; it
 represents k when k = sum(a_j * P_m(x_j)) for some integers x_j.  Bounded
 representation questions are answered one coefficient at a time by a fold
 over the represented set in [0, B].  While many values are missing the set
-is a bitset held in a single Python int, and the fold is a handful of
-big-int shift/or operations over all of [0, B].  Once at most
+is a bitset held in a single Python int, mirrored: bit B - k is set when k
+is represented, so bit B (the value 0) is always the top bit.  Adding
+a * P_m(x) to every value is then the union of the right shifts
+mirror >> a * v over the values v with a * v <= B; a right shift only
+shortens the int, so the bits past B fall off by themselves.  Once at most
 SPARSE_MISSING values are missing, the fold runs on the list of missing
 values instead: k stays missing after adding a * P_m(x) exactly when every
 k - a * v with 0 <= a * v <= k was missing.  Missing values only ever
@@ -161,29 +164,40 @@ class RepresentationSet:
 
     bits is a little-endian bitmask: bit k is set iff k is represented.
     Bit 0 is always set (the empty sum); bits without it, or with bits past
-    bound, raise ValueError.  A set that misses at most
-    SPARSE_MISSING values of [0, bound] also holds them as an ascending
-    tuple, peeled from its bits when it is first folded; the sets folded
-    from it hold only that tuple and build their bits when asked for them.
-    Equality is by content.
+    bound, raise ValueError.  The set holds its bits mirrored (bit
+    bound - k for the value k), the layout its folds shift right; bits and
+    the constructor convert with one byte-wise bit reversal.  A set that
+    misses at most SPARSE_MISSING values of [0, bound] also holds them as
+    an ascending tuple, peeled from its bits when it is first folded; the
+    sets folded from it hold only that tuple and build their bits when
+    asked for them.  Equality is by content.
     """
 
-    __slots__ = ("_bound", "_bits", "_missing")
+    __slots__ = ("_bound", "_mirror", "_missing")
 
     def __init__(self, bound: int, bits: int) -> None:
-        # O(1): this runs once per fold, so no masking and no popcount.
+        _check_int(bound, "bound")
+        _check_int(bits, "bits")
+        if bound < 0:
+            raise ValueError("bound must be nonnegative")
         if bits < 0 or not bits & 1 or bits.bit_length() > bound + 1:
             raise ValueError(
                 f"bits must be a nonnegative mask of [0, {bound}] with bit 0 set"
             )
         self._bound = bound
-        self._bits: int | None = bits
+        self._mirror: int | None = _reverse(bits, bound)
         self._missing: tuple[int, ...] | None = None  # peeled on the first fold
+
+    @classmethod
+    def _of_mirror(cls, bound: int, mirror: int) -> "RepresentationSet":
+        rep = cls.__new__(cls)
+        rep._bound, rep._mirror, rep._missing = bound, mirror, None
+        return rep
 
     @classmethod
     def _of_missing(cls, bound: int, missing: tuple[int, ...]) -> "RepresentationSet":
         rep = cls.__new__(cls)
-        rep._bound, rep._bits, rep._missing = bound, None, missing
+        rep._bound, rep._mirror, rep._missing = bound, None, missing
         return rep
 
     @property
@@ -192,17 +206,22 @@ class RepresentationSet:
 
     @property
     def bits(self) -> int:
-        if self._bits is None:
-            self._bits = _mask(self._bound) ^ sum(1 << k for k in self._missing)
-        return self._bits
+        return _reverse(self._dense(), self._bound)
+
+    def _dense(self) -> int:
+        """The mirrored bitset, built from the missing values if need be."""
+        if self._mirror is None:
+            bound = self._bound
+            self._mirror = _mask(bound) ^ sum(1 << (bound - k) for k in self._missing)
+        return self._mirror
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RepresentationSet):
             return NotImplemented
-        return self._bound == other._bound and self.bits == other.bits
+        return self._bound == other._bound and self._dense() == other._dense()
 
     def __hash__(self) -> int:
-        return hash((self._bound, self.bits))
+        return hash((self._bound, self._dense()))
 
     def __repr__(self) -> str:
         # no decimal form of bits: past 4300 digits int -> str raises
@@ -211,70 +230,78 @@ class RepresentationSet:
             f"truant={self.truant()!r})"
         )
 
-    def __contains__(self, k: int) -> bool:
-        if not 0 <= k <= self._bound:
+    def __contains__(self, k: object) -> bool:
+        if not isinstance(k, int) or not 0 <= k <= self._bound:
             return False
         if self._missing is not None:
             return k not in self._missing
-        return (self._bits >> k) & 1 == 1
+        return (self._mirror >> (self._bound - k)) & 1 == 1
 
-    def _missing_bits(self) -> int:
-        return ~self._bits & _mask(self._bound)
+    def _gaps(self) -> int:
+        """The mirrored bitset of the missing values."""
+        return _mask(self._bound) ^ self._mirror
 
     def _sparse(self) -> tuple[int, ...] | None:
         """The missing values if there are at most SPARSE_MISSING, else
-        None.  A set made from bits peels them the first time it is asked."""
+        None.  A set made from bits peels them the first time it is asked,
+        from the top bit down, which is ascending."""
         if self._missing is None and (
-            self._bound + 1 - self._bits.bit_count() <= SPARSE_MISSING
+            self._bound + 1 - self._mirror.bit_count() <= SPARSE_MISSING
         ):
-            self._missing = _peel(self._missing_bits())
+            gaps, missing = self._gaps(), []
+            while gaps:
+                top = gaps.bit_length() - 1
+                missing.append(self._bound - top)
+                gaps ^= 1 << top
+            self._missing = tuple(missing)
         return self._missing
 
     def truant(self) -> int | None:
         """Smallest k in [1, bound] not represented, or None if there is none."""
         if self._missing is not None:
             return self._missing[0] if self._missing else None
-        missing = self._missing_bits()
-        if missing == 0:
-            return None
-        return (missing & -missing).bit_length() - 1
+        gaps = self._gaps()
+        return self._bound + 1 - gaps.bit_length() if gaps else None
 
     def values(self) -> list[int]:
         """Represented integers in [0, bound], ascending."""
-        return _bit_positions(self.bits)
+        return _digits_at(self._dense(), "1")
 
     def missing(self) -> list[int]:
         """Integers in [0, bound] that are not represented, ascending."""
         if self._missing is not None:
             return list(self._missing)
-        return _bit_positions(self._missing_bits())
+        return _digits_at(self._mirror, "0")
 
     def count(self) -> int:
-        if self._bits is None:
+        if self._mirror is None:
             return self._bound + 1 - len(self._missing)
-        return self._bits.bit_count()
+        return self._mirror.bit_count()
 
 
 def _mask(bound: int) -> int:
     return (1 << (bound + 1)) - 1
 
 
-def _peel(x: int) -> tuple[int, ...]:
-    """Positions of the set bits of x >= 0, ascending.  Each bit is peeled
-    off as x & -x, so the cost is a few passes over x per bit, not one per
-    binary digit."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return tuple(out)
+# byte b with its eight bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _bit_positions(x: int) -> list[int]:
-    """Positions of the set bits of x >= 0, ascending, in one pass over its
-    binary digits (testing each bit by a shift would be quadratic)."""
-    return [k for k, digit in enumerate(bin(x)[:1:-1]) if digit == "1"]
+def _reverse(bits: int, bound: int) -> int:
+    """bits < 2**(bound + 1) with bit k moved to bit bound - k: its bytes
+    read in the other order with each byte's bits reversed, then shifted
+    down past the padding of the last byte.  Every buffer is a byte per
+    eight bits."""
+    n = bound // 8 + 1
+    flipped = bits.to_bytes(n, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(flipped, "big") >> (8 * n - 1 - bound)
+
+
+def _digits_at(mirror: int, digit: str) -> list[int]:
+    """The values k, ascending, whose bit (bit bound - k) of the mirrored
+    bitset is digit, in one pass over its binary digits: the top bit is
+    always set, so character k of bin(mirror)[2:] is the value k."""
+    return [k for k, d in enumerate(bin(mirror)[2:]) if d == digit]
 
 
 def _kept(
@@ -308,19 +335,31 @@ def _fold(rep: RepresentationSet, m: int, coeff: int) -> RepresentationSet:
     if missing is not None:
         kept = tuple(_kept(missing, frozenset(missing), coeff, values))
         return RepresentationSet._of_missing(bound, kept)
-    return RepresentationSet(bound, _shift_union(rep._bits, coeff, values, bound))
+    mirror = _shift_union(rep._mirror, coeff, values, bound)
+    return RepresentationSet._of_mirror(bound, mirror)
 
 
-def _shift_union(bits: int, coeff: int, values: tuple[int, ...], width: int) -> int:
-    """The union of bits << coeff * v over the ascending values with
-    coeff * v <= width, cut to [0, width]."""
+def _shift_union(mirror: int, coeff: int, values: tuple[int, ...], width: int) -> int:
+    """The mirrored bitset of {k + coeff * v <= width} over the set's k, from
+    the set's mirrored bitset over [0, width]: the union of mirror >> coeff * v
+    over the ascending values with coeff * v <= width.  The set {0} (the
+    top bit alone, the first fold of every form) sets one bit per value in a
+    buffer the size of the bitset instead of shifting."""
+    if mirror == 1 << width:
+        buf = bytearray(width // 8 + 1)
+        for v in values:
+            k = width - coeff * v
+            if k < 0:
+                break
+            buf[k >> 3] |= 1 << (k & 7)
+        return int.from_bytes(buf, "little")
     out = 0
     for v in values:
         shift = coeff * v
         if shift > width:
             break
-        out |= bits << shift
-    return out & _mask(width)
+        out |= mirror >> shift
+    return out
 
 
 def _extended_truants(
@@ -333,7 +372,8 @@ def _extended_truants(
     t folds its bits over windows [0, w] from w = 2t (the new truant lies
     above t), and after each window without a gap squares w / t: 2t, 4t,
     16t, 256t, ..., clipped to bound; doubling w instead made the trees
-    whose children are mostly universal slower.
+    whose children are mostly universal slower.  The window's mirrored
+    bitset is the top w + 1 bits, and its first gap its highest gap bit.
     """
     bound = rep._bound
     values = _values_up_to(m, bound)
@@ -341,17 +381,16 @@ def _extended_truants(
     if missing is not None:
         gone = frozenset(missing)
         return [next(_kept(missing, gone, k, values), None) for k in coeffs]
-    bits, t = rep._bits, rep.truant()
+    mirror, t = rep._mirror, rep.truant()
     truants = []
     for coeff in coeffs:
         w = min(2 * t, bound)
         while True:
-            mask = _mask(w)
-            gaps = mask ^ _shift_union(bits & mask, coeff, values, w)
+            gaps = _mask(w) ^ _shift_union(mirror >> (bound - w), coeff, values, w)
             if gaps or w == bound:
                 break
             w = min(w * w // t, bound)
-        truants.append((gaps & -gaps).bit_length() - 1 if gaps else None)
+        truants.append(w + 1 - gaps.bit_length() if gaps else None)
     return truants
 
 
@@ -365,7 +404,7 @@ def represented_set(form: PolygonalForm, bound: int) -> RepresentationSet:
         raise ResourceCapError(
             f"bitset of {bound + 1} bits exceeds cap of {DEFAULT_BIT_CAP}"
         )
-    rep = RepresentationSet(bound, 1)
+    rep = RepresentationSet._of_mirror(bound, 1 << bound)
     for a in form.coeffs:
         rep = _fold(rep, form.m, a)
     return rep

@@ -242,6 +242,9 @@ CLI_GOLDEN = [
      "2db543b4b8eb85ea9b563a444b9a975b412606b3a1dfe10f157d3e0182795a53", EMPTY_SHA256, 0),
     (["gamma", "--m", "8", "--bound", "100000"],
      "5f7658abd3e1eb26b2a81384f3209a09e176b4508dbef86baa000fa56c8fafae", EMPTY_SHA256, 0),
+    # folds of 1e6-bit sets
+    (["tree", "--m", "5", "--depth", "3", "--bound", "1000000"],
+     "07bc42cb83586c7e66fccbad8129d5a9671e40d809d984792072daf176bedb07", EMPTY_SHA256, 0),
 ]
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +256,16 @@ def test_membership_is_bounds_checked():
     assert 11 not in rep
 
 
+def test_only_ints_are_members():
+    dense = represented_set(PolygonalForm.of(4, 1), 100)  # the 11 squares
+    sparse = represented_set(PolygonalForm.of(4, 1, 1, 1, 1), 100)  # Lagrange
+    assert dense._sparse() is None and sparse._sparse() == ()  # held as gaps
+    for rep in (dense, sparse):
+        for k in (2.5, Fraction(5, 2), 4.0, Fraction(4), "4", None, [4]):
+            assert k not in rep
+        assert 4 in rep and 0 in rep
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=3, max_value=10),
@@ -286,15 +297,23 @@ def test_extend_set_agrees_with_rebuilding(m, coeffs, extra, bound):
     assert extended == rebuilt
 
 
-def _assert_matches_naive(rep, m, coeffs, bound):
-    expected = ref.represented(m, coeffs, bound)
+def _assert_reads(rep, expected, bound):
+    # every read of a set against its naive values, and the trip through
+    # bits; values() and bits last: they build the bits of a set held by its
+    # missing list
     gaps = [k for k in range(bound + 1) if k not in expected]
-    # values() last: it builds the bits of a set held by its missing list
     assert rep.count() == len(expected)
     assert rep.missing() == gaps
-    assert rep.truant() == ref.naive_truant(m, coeffs, bound)
+    assert rep.truant() == (gaps[0] if gaps else None)
     assert [k for k in range(-2, bound + 3) if k in rep] == sorted(expected)
     assert rep.values() == sorted(expected)
+    assert rep.bits == sum(1 << k for k in expected)
+    again = RepresentationSet(bound, rep.bits)
+    assert again == rep and hash(again) == hash(rep)
+
+
+def _assert_matches_naive(rep, m, coeffs, bound):
+    _assert_reads(rep, ref.represented(m, coeffs, bound), bound)
 
 
 _FORMS_ACROSS_THE_SWITCH = st.one_of(
@@ -428,6 +447,46 @@ def test_extended_truant_matches_extend_set(m, coeffs, bound, as_bits, data):
         assert polygonal._extended_truants(parent, m, ks) == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=12),
+    st.lists(st.integers(min_value=1, max_value=8), max_size=5),
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3),
+)
+def test_mirrored_folds_match_naive_at_every_small_bound(m, coeffs, ks):
+    # every bound 0..140 crosses the byte edges of the bit reversal and the
+    # 30-bit digit edges of Python ints; the fold of {0} is the first fold of
+    # every form and the extension of the empty form (a tree root)
+    top = 140
+    form = PolygonalForm.of(m, *coeffs)
+    # the values up to a bound are those up to top cut to the bound
+    whole = ref.represented(m, form.coeffs, top)
+    extended = {k: ref.represented(m, form.coeffs + (k,), top) for k in ks}
+    single = {k: ref.represented(m, (k,), top) for k in ks}
+    for bound in range(top + 1):
+        expected = {k for k in whole if k <= bound}
+        gaps = tuple(k for k in range(bound + 1) if k not in expected)
+        folded = represented_set(form, bound)
+        parents = [folded, RepresentationSet(bound, sum(1 << k for k in expected))]
+        if len(gaps) <= polygonal.SPARSE_MISSING:
+            parents.append(RepresentationSet._of_missing(bound, gaps))
+        for parent in parents:
+            _assert_reads(parent, expected, bound)
+            assert parent == folded
+        for k in ks:
+            child = extend_set(folded, m, k)
+            _assert_reads(child, {v for v in extended[k] if v <= bound}, bound)
+            for parent in parents:
+                assert extend_set(parent, m, k) == child
+                assert polygonal._extended_truants(parent, m, [k]) == [child.truant()]
+        root = represented_set(PolygonalForm(m, ()), bound)
+        for k in ks:
+            _assert_reads(extend_set(root, m, k), {v for v in single[k] if v <= bound}, bound)
+        assert polygonal._extended_truants(root, m, ks) == [
+            next((v for v in range(bound + 1) if v not in single[k]), None) for k in ks
+        ]
+
+
 def test_extend_set_rejects_nonpositive_coefficient():
     base = represented_set(PolygonalForm.of(3, 1), 10)
     for coeff in (0, -1, 1.5, True):
@@ -469,16 +528,28 @@ def test_repr_prints_no_decimal_bits():
     )
 
 
+_MASK_MESSAGE = r"bits must be a nonnegative mask of \[0, 5\]"
+
+
 @pytest.mark.parametrize(
-    "bits",
+    "bound, bits, message",
     [
-        (1 << 40) - 1,  # values past the bound
-        (1 << 6) | 1,  # bit 6 is one past bound 5
-        0,  # 0 is always represented
-        0b111110,
-        -1,
+        (5, (1 << 40) - 1, _MASK_MESSAGE),  # values past the bound
+        (5, (1 << 6) | 1, _MASK_MESSAGE),  # bit 6 is one past bound 5
+        (5, 0, _MASK_MESSAGE),  # 0 is always represented
+        (5, 0b111110, _MASK_MESSAGE),
+        (5, -1, _MASK_MESSAGE),
+        (True, 1, "bound must be an integer, got True"),
+        (5, True, "bits must be an integer, got True"),
+        (5, 1.0, r"bits must be an integer, got 1\.0"),
+        (5, "1", "bits must be an integer, got '1'"),
+        (-1, 0, "bound must be nonnegative"),
+    ],
+    ids=[
+        "1099511627775", "65", "0", "62", "-1",
+        "bool-bound", "bool-bits", "float-bits", "str-bits", "negative-bound",
     ],
 )
-def test_representation_set_rejects_malformed_bits(bits):
-    with pytest.raises(ValueError, match=r"bits must be a nonnegative mask of \[0, 5\]"):
-        RepresentationSet(5, bits)
+def test_representation_set_rejects_malformed_bits(bound, bits, message):
+    with pytest.raises(ValueError, match=message):
+        RepresentationSet(bound, bits)
