@@ -200,13 +200,14 @@ def represents_equivalence_check(form: PolygonalForm, ell: int, bound: int) -> b
     """Answer "does the form represent ell?" by two independent routes and
     insist they agree.
 
-    Route one is the bitset DP over [0, bound]; route two counts lattice
-    vectors hitting h(ell).  Disagreement is a library bug and raises
+    Route one is the bitset DP over [0, ell], since membership of ell
+    depends only on the values up to ell; route two counts lattice vectors
+    hitting h(ell).  Disagreement is a library bug and raises
     InternalConsistencyError.
     """
     if not 0 <= ell <= bound:
         raise ValueError("need 0 <= ell <= bound")
-    by_set = ell in represented_set(form, bound)
+    by_set = ell in represented_set(form, ell)
     by_count = representation_count(lattice_from_form(form), h_of_ell(form, ell)) > 0
     if by_set != by_count:
         raise InternalConsistencyError(

@@ -72,7 +72,7 @@ def _valuation(k: int, p: int) -> int:
     return v
 
 
-def frac_valuation(h: Fraction, p: int) -> int:
+def _frac_valuation(h: Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     return _valuation(h.numerator, p) - _valuation(h.denominator, p)
 
@@ -82,7 +82,7 @@ def _integral_target(h: Fraction | int, p: int) -> tuple[Fraction, int]:
     h = _check_target(h)
     if h <= 0:
         raise ValueError("target must be positive")
-    a = frac_valuation(h, p)
+    a = _frac_valuation(h, p)
     if a < 0:
         raise ValueError(f"target must be a {p}-adic integer")
     return h, a
@@ -395,7 +395,7 @@ def stabilization_threshold(p: int, gram: tuple[int, ...], h: Fraction | int) ->
     if h <= 0:
         raise ValueError("target must be positive")
     det_ord = (1 if p == 2 else 0) + sum(_valuation(a, p) for a in gram)
-    return 2 * det_ord + frac_valuation(h, p) + 1
+    return 2 * det_ord + _frac_valuation(h, p) + 1
 
 
 def _square_class(v: int, p: int, t: int) -> tuple[int, int]:
@@ -716,7 +716,7 @@ def verify_case_bounds(
                 bound = Fraction(2, p)
                 ok = abs(r1) <= bound
             elif label == "case2":
-                if frac_valuation(h, p) == 0:
+                if _frac_valuation(h, p) == 0:
                     # Only the boundary term survives for a unit target, so
                     # the two-sided chain does not apply; R1^2 <= 1/p is the
                     # rational form of |R1| <= p^(-1/2).

@@ -162,31 +162,15 @@ def _check_coeff(a: int) -> None:
 class RepresentationSet:
     """The set of integers in [0, bound] represented by a form.
 
-    bits is a little-endian bitmask: bit k is set iff k is represented.
-    Bit 0 is always set (the empty sum); bits without it, or with bits past
-    bound, raise ValueError.  The set holds its bits mirrored (bit
-    bound - k for the value k), the layout its folds shift right; bits and
-    the constructor convert with one byte-wise bit reversal.  A set that
-    misses at most SPARSE_MISSING values of [0, bound] also holds them as
-    an ascending tuple, peeled from its bits when it is first folded; the
-    sets folded from it hold only that tuple and build their bits when
-    asked for them.  Equality is by content.
+    Sets come from represented_set and extend_set.  A dense set holds its
+    bits mirrored: bit bound - k is set when k is represented, the layout
+    its folds shift right.  A set that misses at most SPARSE_MISSING values
+    of [0, bound] holds them as an ascending tuple instead, peeled from its
+    bits when it is first folded; the sets folded from it hold only that
+    tuple.  Equality is by content.
     """
 
     __slots__ = ("_bound", "_mirror", "_missing")
-
-    def __init__(self, bound: int, bits: int) -> None:
-        _check_int(bound, "bound")
-        _check_int(bits, "bits")
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
-        if bits < 0 or not bits & 1 or bits.bit_length() > bound + 1:
-            raise ValueError(
-                f"bits must be a nonnegative mask of [0, {bound}] with bit 0 set"
-            )
-        self._bound = bound
-        self._mirror: int | None = _reverse(bits, bound)
-        self._missing: tuple[int, ...] | None = None  # peeled on the first fold
 
     @classmethod
     def _of_mirror(cls, bound: int, mirror: int) -> "RepresentationSet":
@@ -204,27 +188,13 @@ class RepresentationSet:
     def bound(self) -> int:
         return self._bound
 
-    @property
-    def bits(self) -> int:
-        return _reverse(self._dense(), self._bound)
-
-    def _dense(self) -> int:
-        """The mirrored bitset, built from the missing values if need be."""
-        if self._mirror is None:
-            bound = self._bound
-            self._mirror = _mask(bound) ^ sum(1 << (bound - k) for k in self._missing)
-        return self._mirror
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RepresentationSet):
             return NotImplemented
-        return self._bound == other._bound and self._dense() == other._dense()
-
-    def __hash__(self) -> int:
-        return hash((self._bound, self._dense()))
+        return self._bound == other._bound and self.missing() == other.missing()
 
     def __repr__(self) -> str:
-        # no decimal form of bits: past 4300 digits int -> str raises
+        # no decimal form of the bitset: past 4300 digits int -> str raises
         return (
             f"RepresentationSet(bound={self._bound!r}, count={self.count()!r}, "
             f"truant={self.truant()!r})"
@@ -243,8 +213,8 @@ class RepresentationSet:
 
     def _sparse(self) -> tuple[int, ...] | None:
         """The missing values if there are at most SPARSE_MISSING, else
-        None.  A set made from bits peels them the first time it is asked,
-        from the top bit down, which is ascending."""
+        None.  A dense set peels them the first time it is asked, from the
+        top bit down, which is ascending."""
         if self._missing is None and (
             self._bound + 1 - self._mirror.bit_count() <= SPARSE_MISSING
         ):
@@ -263,15 +233,15 @@ class RepresentationSet:
         gaps = self._gaps()
         return self._bound + 1 - gaps.bit_length() if gaps else None
 
-    def values(self) -> list[int]:
-        """Represented integers in [0, bound], ascending."""
-        return _digits_at(self._dense(), "1")
-
     def missing(self) -> list[int]:
-        """Integers in [0, bound] that are not represented, ascending."""
+        """Integers in [0, bound] that are not represented, ascending.
+
+        A dense set reads them in one pass over the binary digits of its
+        mirrored bitset: the top bit is always set, so character k of
+        bin(mirror)[2:] is the value k."""
         if self._missing is not None:
             return list(self._missing)
-        return _digits_at(self._mirror, "0")
+        return [k for k, d in enumerate(bin(self._mirror)[2:]) if d == "0"]
 
     def count(self) -> int:
         if self._mirror is None:
@@ -281,27 +251,6 @@ class RepresentationSet:
 
 def _mask(bound: int) -> int:
     return (1 << (bound + 1)) - 1
-
-
-# byte b with its eight bits in reverse order
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _reverse(bits: int, bound: int) -> int:
-    """bits < 2**(bound + 1) with bit k moved to bit bound - k: its bytes
-    read in the other order with each byte's bits reversed, then shifted
-    down past the padding of the last byte.  Every buffer is a byte per
-    eight bits."""
-    n = bound // 8 + 1
-    flipped = bits.to_bytes(n, "little").translate(_REVERSED_BYTES)
-    return int.from_bytes(flipped, "big") >> (8 * n - 1 - bound)
-
-
-def _digits_at(mirror: int, digit: str) -> list[int]:
-    """The values k, ascending, whose bit (bit bound - k) of the mirrored
-    bitset is digit, in one pass over its binary digits: the top bit is
-    always set, so character k of bin(mirror)[2:] is the value k."""
-    return [k for k, d in enumerate(bin(mirror)[2:]) if d == digit]
 
 
 def _kept(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_oracles as ref
-from mgonal import lattice
+from mgonal import lattice, polygonal
 from mgonal import (
     InternalConsistencyError,
     PolygonalForm,
@@ -300,6 +300,14 @@ def test_equivalence_check_small_grid():
 def test_equivalence_check_validates_the_window():
     with pytest.raises(ValueError):
         represents_equivalence_check(PolygonalForm.of(5, 1), 20, 10)
+
+
+def test_equivalence_check_folds_only_up_to_ell(monkeypatch):
+    # a bitset over [0, bound] would exceed the cap; one over [0, ell] does not
+    monkeypatch.setattr(polygonal, "DEFAULT_BIT_CAP", 1000)
+    form = PolygonalForm.of(5, 1, 2)  # truant 8; 20 is missing, 22 is P_5(4)
+    assert represents_equivalence_check(form, 20, 10**5) is False
+    assert represents_equivalence_check(form, 22, 10**5) is True
 
 
 def test_equivalence_check_raises_on_internal_disagreement(monkeypatch):

@@ -231,7 +231,7 @@ def test_sizes_and_bounds_must_be_integers(call):
 
 def test_two_triangulars_frozen_set():
     rep = represented_set(PolygonalForm.of(3, 1, 1), 8)
-    assert rep.values() == [0, 1, 2, 3, 4, 6, 7]
+    assert [k for k in range(9) if k in rep] == [0, 1, 2, 3, 4, 6, 7]
     assert rep.missing() == [5, 8]
     assert rep.truant() == 5
     assert 4 in rep and 5 not in rep
@@ -240,7 +240,7 @@ def test_two_triangulars_frozen_set():
 
 def test_empty_form_represents_only_zero():
     rep = represented_set(PolygonalForm(9, ()), 30)
-    assert rep.values() == [0]
+    assert [k for k in range(31) if k in rep] == [0]
     assert rep.truant() == 1
     assert truant(PolygonalForm(9, ()), 30) == 1
 
@@ -275,8 +275,9 @@ def test_only_ints_are_members():
 def test_represented_set_matches_naive(m, coeffs, bound):
     form = PolygonalForm.of(m, *coeffs)
     rep = represented_set(form, bound)
-    assert set(rep.values()) == ref.represented(m, form.coeffs, bound)
-    assert rep.missing() == sorted(set(range(bound + 1)) - set(rep.values()))
+    values = [k for k in range(bound + 1) if k in rep]
+    assert set(values) == ref.represented(m, form.coeffs, bound)
+    assert rep.missing() == sorted(set(range(bound + 1)) - set(values))
     assert rep.truant() == ref.naive_truant(m, form.coeffs, bound)
 
 
@@ -297,19 +298,22 @@ def test_extend_set_agrees_with_rebuilding(m, coeffs, extra, bound):
     assert extended == rebuilt
 
 
+def _from_values(bound, values):
+    # a set made from bits (bit bound - k for the value k), as a fold leaves
+    # a dense set; one that misses only a few values peels them on its first
+    # fold
+    return RepresentationSet._of_mirror(bound, sum(1 << (bound - k) for k in values))
+
+
 def _assert_reads(rep, expected, bound):
-    # every read of a set against its naive values, and the trip through
-    # bits; values() and bits last: they build the bits of a set held by its
-    # missing list
+    # every read of a set against its naive values, and equality with the
+    # same values made from bits
     gaps = [k for k in range(bound + 1) if k not in expected]
     assert rep.count() == len(expected)
     assert rep.missing() == gaps
     assert rep.truant() == (gaps[0] if gaps else None)
     assert [k for k in range(-2, bound + 3) if k in rep] == sorted(expected)
-    assert rep.values() == sorted(expected)
-    assert rep.bits == sum(1 << k for k in expected)
-    again = RepresentationSet(bound, rep.bits)
-    assert again == rep and hash(again) == hash(rep)
+    assert rep == _from_values(bound, expected)
 
 
 def _assert_matches_naive(rep, m, coeffs, bound):
@@ -343,8 +347,8 @@ def test_both_fold_forms_match_naive(form, bound):
     _assert_matches_naive(rep, m, coeffs, bound)
     # the same content held as a bitset, which is folded densely until it
     # is found to miss only a few values
-    as_bits = RepresentationSet(bound, rep.bits)
-    assert as_bits == rep and hash(as_bits) == hash(rep)
+    as_bits = _from_values(bound, [k for k in range(bound + 1) if k in rep])
+    assert as_bits == rep
     _assert_matches_naive(as_bits, m, coeffs, bound)
     extra = coeffs[-1] + 1
     assert extend_set(as_bits, m, extra) == extend_set(rep, m, extra)
@@ -385,14 +389,14 @@ def test_folds_cross_the_sparse_switch():
 
 def test_sparse_set_from_bits_folds_like_its_content():
     # bits with a handful of gaps, built by hand, fold on the gap list
-    rep = RepresentationSet(20, ((1 << 21) - 1) ^ (1 << 7) ^ (1 << 8) ^ (1 << 19))
+    rep = _from_values(20, set(range(21)) - {7, 8, 19})
     assert rep.missing() == [7, 8, 19] and rep.truant() == 7 and rep.count() == 18
     assert 8 not in rep and 9 in rep
     # adding P_5 values {0, 1, 2, 5, 7, 12, 15} once: 7 = 6 + 1, 8 = 6 + 2,
     # 19 = 18 + 1
     assert extend_set(rep, 5, 1).missing() == []
     # adding 4 * P_5 = {0, 4, 8, 20}: 7 - 4 = 3, 8 - 8 = 0, 19 - 4 = 15
-    assert extend_set(rep, 5, 4) == RepresentationSet(20, (1 << 21) - 1)
+    assert extend_set(rep, 5, 4) == _from_values(20, range(21))
     # adding 10 * P_5 = {0, 10, 20}: 7 and 8 stay out of reach, 19 - 10 = 9
     assert extend_set(rep, 5, 10).missing() == [7, 8]
 
@@ -433,7 +437,8 @@ def test_extended_truant_matches_extend_set(m, coeffs, bound, as_bits, data):
     # then coefficients drawn in and past it, in any order
     parent = represented_set(PolygonalForm.of(m, *coeffs), bound)
     if as_bits:
-        parent = RepresentationSet(bound, parent.bits)  # peels its gaps when first asked
+        # peels its gaps when first asked
+        parent = _from_values(bound, [k for k in range(bound + 1) if k in parent])
     top = parent.truant() or bound
     drawn = data.draw(
         st.lists(
@@ -454,9 +459,9 @@ def test_extended_truant_matches_extend_set(m, coeffs, bound, as_bits, data):
     st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3),
 )
 def test_mirrored_folds_match_naive_at_every_small_bound(m, coeffs, ks):
-    # every bound 0..140 crosses the byte edges of the bit reversal and the
-    # 30-bit digit edges of Python ints; the fold of {0} is the first fold of
-    # every form and the extension of the empty form (a tree root)
+    # every bound 0..140 crosses the byte edges of the buffer that folds {0}
+    # and the 30-bit digit edges of Python ints; the fold of {0} is the first
+    # fold of every form and the extension of the empty form (a tree root)
     top = 140
     form = PolygonalForm.of(m, *coeffs)
     # the values up to a bound are those up to top cut to the bound
@@ -467,7 +472,7 @@ def test_mirrored_folds_match_naive_at_every_small_bound(m, coeffs, ks):
         expected = {k for k in whole if k <= bound}
         gaps = tuple(k for k in range(bound + 1) if k not in expected)
         folded = represented_set(form, bound)
-        parents = [folded, RepresentationSet(bound, sum(1 << k for k in expected))]
+        parents = [folded, _from_values(bound, expected)]
         if len(gaps) <= polygonal.SPARSE_MISSING:
             parents.append(RepresentationSet._of_missing(bound, gaps))
         for parent in parents:
@@ -512,44 +517,30 @@ def test_truant_requires_positive_bound():
 
 
 def test_representation_set_is_a_plain_value():
-    rep = RepresentationSet(4, 0b10011)
-    assert rep.values() == [0, 1, 4]
+    rep = _from_values(4, {0, 1, 4})
+    assert [k for k in range(5) if k in rep] == [0, 1, 4]
     assert rep.missing() == [2, 3]
     assert rep.truant() == 2
     assert rep.count() == 3
+    # equal by content in either layout, unequal on other content or bound
+    assert rep == RepresentationSet._of_missing(4, (2, 3))
+    assert rep != _from_values(4, {0, 1}) and rep != RepresentationSet._of_missing(4, (2,))
+    assert _from_values(4, range(5)) != _from_values(5, range(6))  # none missing
+    assert rep != "RepresentationSet"
+
+
+def test_representation_sets_come_only_from_folds():
+    # no public constructor, and no hash: nothing keys a dict or a set on one
+    with pytest.raises(TypeError):
+        RepresentationSet(5, 1)
+    with pytest.raises(TypeError):
+        hash(represented_set(PolygonalForm.of(3, 1), 10))
 
 
 def test_repr_prints_no_decimal_bits():
     # str() of an int past 4300 decimal digits raises ValueError
     rep = represented_set(PolygonalForm.of(3, 1), 100_000)
     assert repr(rep) == "RepresentationSet(bound=100000, count=447, truant=2)"
-    assert repr(RepresentationSet(4, 0b11111)) == (
+    assert repr(_from_values(4, range(5))) == (
         "RepresentationSet(bound=4, count=5, truant=None)"
     )
-
-
-_MASK_MESSAGE = r"bits must be a nonnegative mask of \[0, 5\]"
-
-
-@pytest.mark.parametrize(
-    "bound, bits, message",
-    [
-        (5, (1 << 40) - 1, _MASK_MESSAGE),  # values past the bound
-        (5, (1 << 6) | 1, _MASK_MESSAGE),  # bit 6 is one past bound 5
-        (5, 0, _MASK_MESSAGE),  # 0 is always represented
-        (5, 0b111110, _MASK_MESSAGE),
-        (5, -1, _MASK_MESSAGE),
-        (True, 1, "bound must be an integer, got True"),
-        (5, True, "bits must be an integer, got True"),
-        (5, 1.0, r"bits must be an integer, got 1\.0"),
-        (5, "1", "bits must be an integer, got '1'"),
-        (-1, 0, "bound must be nonnegative"),
-    ],
-    ids=[
-        "1099511627775", "65", "0", "62", "-1",
-        "bool-bound", "bool-bits", "float-bits", "str-bits", "negative-bound",
-    ],
-)
-def test_representation_set_rejects_malformed_bits(bound, bits, message):
-    with pytest.raises(ValueError, match=message):
-        RepresentationSet(bound, bits)
