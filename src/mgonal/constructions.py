@@ -78,6 +78,8 @@ def verify_guy_grid(
     m_lo: int, m_hi: int, bound: int = DEFAULT_GUY_BOUND
 ) -> list[GuyReport]:
     """Verify the whole (m, ell) grid for m in [m_lo, m_hi], in grid order."""
+    _check_int(m_lo, "m_lo")
+    _check_int(m_hi, "m_hi")
     return [
         verify_guy(guy_form(m, ell), bound)
         for m in range(m_lo, m_hi + 1)

@@ -205,6 +205,8 @@ def represents_equivalence_check(form: PolygonalForm, ell: int, bound: int) -> b
     hitting h(ell).  Disagreement is a library bug and raises
     InternalConsistencyError.
     """
+    _check_int(ell, "ell")
+    _check_int(bound, "bound")
     if not 0 <= ell <= bound:
         raise ValueError("need 0 <= ell <= bound")
     by_set = ell in represented_set(form, ell)

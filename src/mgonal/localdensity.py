@@ -13,6 +13,8 @@ Two independent routes are kept deliberately separate:
   are convolved class by class.  The class tables of Z/p^t are built level
   by level from those of Z/p^(t-1), through x -> p*x and the lifts of units
   mod p^min(t, 3) (mod p for odd p), without visiting the p^t residues.
+  Each modulus has one pair table, grouped by the class of the last summand
+  as the convolution walks it.
 
 The twain meet only in tests and in explicit cross-check flags; neither
 route falls back to the other.
@@ -409,9 +411,9 @@ def _square_class(v: int, p: int, t: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=64)
-def _level(p: int, t: int) -> tuple[dict, tuple, tuple, tuple, tuple]:
-    """(index, reps, pairs, sizes, squares) for Z/p^t, built from the levels
-    below without visiting the p^t residues.
+def _class_tables(p: int, t: int) -> tuple[dict, tuple, tuple, tuple, tuple, tuple]:
+    """(index, reps, sizes, squares, coordinates, table) for Z/p^t, built
+    from the levels below without visiting the p^t residues.
 
     Classes are numbered by descending valuation, zero first and units last,
     so x -> p*x carries class i of Z/p^(t-1) onto class i of Z/p^t (key
@@ -419,11 +421,14 @@ def _level(p: int, t: int) -> tuple[dict, tuple, tuple, tuple, tuple]:
     fixed by its residue mod q = p^min(t, 3) at p = 2 and mod q = p for odd
     p, and each unit mod q lifts to p^t / q units mod p^t.  reps[C] is one
     element of class C, sizes[C] its number of elements, squares[C] the
-    number of x with x^2 in class C, and pairs is as in _class_tables.
+    number of x with x^2 in class C, and coordinates[c][C] the number of x
+    with a*x^2 equal to one element of class C, a in class c.  table[j]
+    lists (C, i, n): for the representative r of class C, n is the number
+    of w in class i with r - w in class j.
     """
     if t == 0:
-        return {(0, 0): 0}, (0,), (((0, 0, 1),),), (1,), (1,)
-    index, reps, pairs, sizes, _ = _level(p, t - 1)
+        return {(0, 0): 0}, (0,), (1,), (1,), ((1,),), (((0, 0, 1),),)
+    index, reps, sizes, _, _, table = _class_tables(p, t - 1)
     q = p ** min(t, 3 if p == 2 else 1)
     lift = p**t // q
     index = {(k + 1, u): i for (k, u), i in index.items()}
@@ -446,38 +451,27 @@ def _level(p: int, t: int) -> tuple[dict, tuple, tuple, tuple, tuple]:
         found = Counter((i, unit[(r - w) % q]) for w, i in unit.items() if (r - w) % p)
         return tuple((i, j, n * lift) for (i, j), n in found.items())
 
-    # These pairs depend on r mod q only, which the class of r fixes.
+    # r = p*r': the w = p*w' with w' mod p^(t-1) give the entries of r' one
+    # level down under the same class numbers, and every unit w leaves the
+    # unit r - w.  These unit pairs depend on r mod q only.
+    table = [list(entries) for entries in table] + [[] for _ in range(low, len(index))]
     tails = {r: unit_pairs(r) for r in {x % q for x in reps}}
-    # r = p*r': the w = p*w' with w' mod p^(t-1) give the row of r' one
-    # level down, and every unit w leaves the unit r - w.
-    rows = [pairs[C] + tails[reps[C] % q] for C in range(low)]
+    for C, r in enumerate(reps):
+        for i, j, n in tails[r % q]:
+            table[j].append((C, i, n))
     # r a unit: a class c of positive valuation fixes x mod q, so r - x lies
     # in one unit class j for all |c| elements x of c; w -> r - w mirrors it.
-    for r in reps[low:]:
-        mixed = []
+    for C in range(low, len(reps)):
         for c in range(low):
-            j = unit[(r - reps[c]) % q]
-            mixed += (c, j, sizes[c]), (j, c, sizes[c])
-        rows.append(tuple(mixed) + tails[r % q])
+            j = unit[(reps[C] - reps[c]) % q]
+            table[j].append((C, c, sizes[c]))
+            table[c].append((C, j, sizes[c]))
     # x = p*x' gives x^2 = p^2*x'^2, and x' mod p^(t-1) covers each residue
     # mod p^(t-2) p times; at t = 1 only x = 0 is left.
-    squares = [p * n for n in _level(p, t - 2)[4]] if t > 1 else [1]
+    squares = [p * n for n in _class_tables(p, t - 2)[3]] if t > 1 else [1]
     squares += [0] * (len(index) - len(squares))
     for w in unit:
         squares[unit[w * w % q]] += lift
-    return index, tuple(reps), tuple(rows), tuple(sizes), tuple(squares)
-
-
-@lru_cache(maxsize=64)
-def _class_tables(p: int, t: int) -> tuple[dict, tuple, tuple, tuple]:
-    """(index, pairs, coordinates, by_last) for Z/p^t: index numbers the
-    classes; for a representative r of class C, pairs[C] lists (i, j, n)
-    with n the number of w in class i with r - w in class j; coordinates[c][C]
-    counts the x with a*x^2 equal to one element of class C, a in class c.
-    by_last[j] is (rows, entries): the entries of pairs whose second summand
-    lies in class j, the same (i, j, n) objects, and rows[k] the class C of
-    the row that entries[k] lies in."""
-    index, reps, pairs, sizes, squares = _level(p, t)
     M = p**t
     coordinates = []
     for a in reps:
@@ -487,31 +481,26 @@ def _class_tables(p: int, t: int) -> tuple[dict, tuple, tuple, tuple]:
             if n:
                 totals[index[_square_class(a * reps[c] % M, p, t)]] += n
         coordinates.append(tuple(total // size for total, size in zip(totals, sizes)))
-    by_last = [([], []) for _ in reps]
-    for C, row in enumerate(pairs):
-        for entry in row:
-            rows, entries = by_last[entry[1]]
-            rows.append(C)
-            entries.append(entry)
-    by_last = tuple((tuple(rows), tuple(entries)) for rows, entries in by_last)
-    return index, pairs, tuple(coordinates), by_last
+    table = tuple(map(tuple, table))
+    return index, tuple(reps), tuple(sizes), tuple(squares), tuple(coordinates), table
 
 
 @lru_cache(maxsize=4096)
 def _class_distribution(p: int, t: int, classes: tuple[int, ...]) -> tuple[int, ...]:
     """Count of sum(a_j x_j^2) = v mod p^t for one v in each class, the a_j
-    in the given classes.  Each level scatters over the nonzero terms only:
-    for every class j the last coefficient reaches, the pair entries (i, j, n)
-    with head[i] nonzero add n * head[i] * last[j] to their row's class."""
-    _, _, coordinates, by_last = _class_tables(p, t)
+    in the given classes.  The pair table is grouped by the class j of the
+    last summand, so each level scatters over the nonzero terms only: for
+    every class j the last coefficient reaches, the entries (C, i, n) of
+    table[j] with head[i] nonzero add n * head[i] * last[j] to class C."""
+    *_, coordinates, table = _class_tables(p, t)
     last = coordinates[classes[-1]]
     if len(classes) == 1:
         return last
     head = _class_distribution(p, t, classes[:-1])
     out = [0] * len(last)
-    for lj, (rows, entries) in zip(last, by_last):
+    for lj, entries in zip(last, table):
         if lj:
-            for C, (i, _, n) in zip(rows, entries):
+            for C, i, n in entries:
                 if head[i]:
                     out[C] += n * head[i] * lj
     return tuple(out)

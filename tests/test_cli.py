@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -260,3 +261,19 @@ def test_cli_output_is_pinned_byte_for_byte(argv, out_sha256, err_sha256, code, 
     out, err = capsys.readouterr()
     digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
     assert (digests, got) == ([out_sha256, err_sha256], code)
+
+
+def test_the_package_imports_only_the_standard_library():
+    # Every absolute import in the package, function-level ones included;
+    # the relative ones stay inside mgonal.
+    imported = set()
+    for path in Path(mgonal.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((alias.name, path.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((node.module, path.name))
+    assert imported
+    outside = {(name, where) for name, where in imported
+               if name.partition(".")[0] not in sys.stdlib_module_names}
+    assert not outside

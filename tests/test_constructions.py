@@ -60,6 +60,12 @@ def test_grid_runs_serially_by_default():
     assert [(r.m, r.ell) for r in reports[:3]] == [(6, 1), (6, 2), (7, 1)]
 
 
+@pytest.mark.parametrize("m_lo,m_hi", [(6, 7.5), (6.0, 8), ("6", 8), (6, None), (True, 8)])
+def test_grid_rejects_non_integer_m_range(m_lo, m_hi):
+    with pytest.raises(ValueError, match="must be an integer"):
+        verify_guy_grid(m_lo, m_hi, 100)
+
+
 def test_guy_report_csv_golden():
     reports = [verify_guy(guy_form(6, 1), 50), verify_guy(guy_form(6, 2), 50)]
     text = guy_report_csv(reports)

@@ -302,6 +302,12 @@ def test_equivalence_check_validates_the_window():
         represents_equivalence_check(PolygonalForm.of(5, 1), 20, 10)
 
 
+@pytest.mark.parametrize("ell,bound", [(3, "10"), ("3", 10), (3.0, 10), (True, 10), (3, 10.0)])
+def test_equivalence_check_rejects_non_integer_windows(ell, bound):
+    with pytest.raises(ValueError, match="must be an integer"):
+        represents_equivalence_check(PolygonalForm.of(5, 1), ell, bound)
+
+
 def test_equivalence_check_folds_only_up_to_ell(monkeypatch):
     # a bitset over [0, bound] would exceed the cap; one over [0, ell] does not
     monkeypatch.setattr(polygonal, "DEFAULT_BIT_CAP", 1000)

@@ -210,6 +210,16 @@ def test_oracle_matches_naive_residue_counting(p, t, gram, targets):
         assert fast == ref.residue_density(p, t, gram, h)
 
 
+def _rows(table) -> list[list[tuple[int, int, int]]]:
+    """The pair table regrouped by row, as the naive convolution reads it:
+    rows[C] lists (i, j, n) for each entry (C, i, n) of table[j]."""
+    rows = [[] for _ in table]
+    for j, entries in enumerate(table):
+        for C, i, n in entries:
+            rows[C].append((i, j, n))
+    return rows
+
+
 @pytest.mark.parametrize(
     "p,t",
     [(2, t) for t in range(1, 13)]
@@ -218,7 +228,7 @@ def test_oracle_matches_naive_residue_counting(p, t, gram, targets):
     + [(7, t) for t in range(1, 5)],
 )
 def test_class_tables_match_per_residue_counts(p, t):
-    index, pairs, coordinates, by_last = localdensity._class_tables(p, t)
+    index, reps, sizes, squares, coordinates, table = localdensity._class_tables(p, t)
     orbit, ref_pairs, ref_coordinates = ref.square_class_tables(p, t)
     # Each class of the table must be exactly one unit-square orbit.
     number = {}
@@ -226,6 +236,13 @@ def test_class_tables_match_per_residue_counts(p, t):
         C = index[localdensity._square_class(v, p, t)]
         assert number.setdefault(orbit[v], C) == C
     assert sorted(number.values()) == list(range(len(index)))
+    assert [number[orbit[r]] for r in reps] == list(range(len(index)))
+    M = p**t
+    assert Counter(number[orbit[v]] for v in range(M)) == dict(enumerate(sizes))
+    assert Counter(number[orbit[x * x % M]] for x in range(M)) == {
+        C: n for C, n in enumerate(squares) if n
+    }
+    pairs = _rows(table)
     for r, counts in ref_pairs.items():
         row = Counter()
         for i, j, n in pairs[number[r]]:
@@ -235,16 +252,24 @@ def test_class_tables_match_per_residue_counts(p, t):
         assert coordinates[number[a]] == tuple(
             n for _, n in sorted((number[C], n) for C, n in counts.items())
         )
-    # by_last regroups the very entries of pairs by their second summand.
-    assert len(by_last) == len(index)
-    grouped = Counter()
-    for j, (rows, entries) in enumerate(by_last):
-        assert len(rows) == len(entries)
-        assert all(entry[1] == j for entry in entries)
-        grouped.update((C, id(entry), *entry) for C, entry in zip(rows, entries))
-    assert grouped == Counter(
-        (C, id(entry), *entry) for C, row in enumerate(pairs) for entry in row
-    )
+
+
+@pytest.mark.parametrize("p,t", [(2, 18), (3, 11), (5, 7), (7, 6)])
+def test_class_tables_count_every_residue_past_the_naive_reach(p, t):
+    # The naive tables stop at 2^12.  Past it, each part of the table must
+    # still count every residue mod p^t once: the elements of the classes,
+    # the x behind the squares, the w in the row of each class, and the x
+    # behind each coefficient's coordinates.
+    _, _, sizes, squares, coordinates, table = localdensity._class_tables(p, t)
+    M = p**t
+    assert sum(sizes) == sum(squares) == M
+    per_row = Counter()
+    for entries in table:
+        for C, _, n in entries:
+            per_row[C] += n
+    assert per_row == dict.fromkeys(range(len(sizes)), M)
+    for row in coordinates:
+        assert sum(n * size for n, size in zip(row, sizes)) == M
 
 
 SMALL_TABLES = [(p, t) for p in (2, 3, 5, 7, 11, 13) for t in range(1, 13) if p**t <= 4096]
@@ -254,7 +279,8 @@ def test_class_distribution_matches_the_naive_convolution_on_every_pair():
     # The scatter over nonzero terms against the plain row sums, for every
     # ordered pair of coefficient classes of every small table.
     for p, t in SMALL_TABLES:
-        _, pairs, coordinates, _ = localdensity._class_tables(p, t)
+        *_, coordinates, table = localdensity._class_tables(p, t)
+        pairs = _rows(table)
         for a, head in enumerate(coordinates):
             for b, last in enumerate(coordinates):
                 fast = localdensity._class_distribution(p, t, (a, b))
@@ -265,7 +291,8 @@ def test_class_distribution_matches_the_naive_convolution_on_every_pair():
 def test_class_distribution_matches_the_naive_convolution_on_random_ranks(p, t):
     # 2^14 is the largest modulus of the densities benchmark; the odd primes
     # take the largest exponent under DEFAULT_ORACLE_MODULUS_CAP.
-    _, pairs, coordinates, _ = localdensity._class_tables(p, t)
+    *_, coordinates, table = localdensity._class_tables(p, t)
+    pairs = _rows(table)
     rng = random.Random(p * 100 + t)
     for _ in range(12):
         classes = tuple(rng.randrange(len(coordinates)) for _ in range(rng.randint(3, 6)))
@@ -403,7 +430,7 @@ def test_the_two_density_routes_stay_independent():
         "jordan_decompose", "_d_of_t", "_l_indices", "_pow_frac",
         "_two_adic_term", "_kronecker2", "_unit_part_mod",
     } | {name for name in defs if name.startswith("tau_")}
-    oracle_only = {"_level", "_class_tables", "_class_distribution", "_residue_count_density"}
+    oracle_only = {"_class_tables", "_class_distribution", "_residue_count_density"}
     assert formula_only | oracle_only <= set(defs)
     assert not _reach(graph, "siegel_count_density") & formula_only
     for entry in ("yang_density_odd", "yang_density_two", "density_p_dividing_N"):
