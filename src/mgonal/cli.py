@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
-from . import constructions, escalator, lattice, localdensity
 from .errors import ResourceCapError
 
 USAGE_EXIT = 64
@@ -57,14 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--m", type=int, required=True)
     p_tree.add_argument("--depth", type=int, default=4)
     p_tree.add_argument("--bound", type=int, default=100_000)
-    p_tree.add_argument("--node-cap", type=int, default=escalator.DEFAULT_NODE_CAP)
+    p_tree.add_argument("--node-cap", type=int)
     p_tree.add_argument("--out", help="output path (stdout when omitted)")
 
     p_gamma = sub.add_parser("gamma", help="largest truant of the escalator tree")
     p_gamma.add_argument("--m", type=int, required=True)
     p_gamma.add_argument("--bound", type=int, default=100_000)
     p_gamma.add_argument("--depth-cap", type=int, default=12)
-    p_gamma.add_argument("--node-cap", type=int, default=escalator.DEFAULT_NODE_CAP)
+    p_gamma.add_argument("--node-cap", type=int)
 
     p_density = sub.add_parser("density", help="local densities over a range of targets")
     p_density.add_argument("--gram", type=_int_list, required=True)
@@ -82,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_guy = sub.add_parser("guy", help="verify a single-gap construction")
     p_guy.add_argument("--m", type=int, required=True)
     p_guy.add_argument("--ell", type=int, required=True)
-    p_guy.add_argument("--bound", type=int, default=constructions.DEFAULT_GUY_BOUND)
+    p_guy.add_argument("--bound", type=int)
 
     p_tau = sub.add_parser("tau", help="numerically evaluate one unit Gauss sum")
     p_tau.add_argument("--p", type=int, required=True)
@@ -120,8 +118,12 @@ def _write(text: str, out_path: str | None = None) -> None:
 
 
 def _cmd_tree(args, parser: argparse.ArgumentParser) -> int:
+    from . import escalator
+
     if args.m < 3 or args.depth < 1 or args.bound < 1:
         parser.error("need m >= 3, depth >= 1, bound >= 1")
+    if args.node_cap is None:
+        args.node_cap = escalator.DEFAULT_NODE_CAP
     tree = escalator.build_tree(args.m, args.depth, args.bound, node_cap=args.node_cap)
     _write(escalator.serialize_tree(tree), args.out)
     leaves = sum(1 for n in tree.nodes if n.truant is None)
@@ -140,8 +142,12 @@ def _cmd_tree(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_gamma(args, parser: argparse.ArgumentParser) -> int:
+    from . import escalator
+
     if args.m < 3 or args.bound < 1 or args.depth_cap < 1:
         parser.error("need m >= 3, bound >= 1, depth-cap >= 1")
+    if args.node_cap is None:
+        args.node_cap = escalator.DEFAULT_NODE_CAP
     truants, nodes, complete = escalator.walk_summary(
         args.m, args.depth_cap, args.bound, node_cap=args.node_cap
     )
@@ -160,6 +166,10 @@ def _cmd_gamma(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_density(args, parser: argparse.ArgumentParser) -> int:
+    from fractions import Fraction
+
+    from . import lattice, localdensity
+
     X = lattice.ShiftedDiagonalLattice(tuple(args.gram), args.c, args.N)
     for p in args.p:
         if not localdensity._is_prime(p):
@@ -197,6 +207,10 @@ def _cmd_density(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_guy(args, parser: argparse.ArgumentParser) -> int:
+    from . import constructions
+
+    if args.bound is None:
+        args.bound = constructions.DEFAULT_GUY_BOUND
     gf = constructions.guy_form(args.m, args.ell)
     if args.bound < args.ell:
         parser.error("bound must be at least ell")
@@ -215,6 +229,8 @@ def _cmd_guy(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_tau(args, parser: argparse.ArgumentParser) -> int:
+    from . import localdensity
+
     value = localdensity.tau_gauss_sum(args.p, args.t, args.alpha, args.N, args.c)
     expected = localdensity.tau_lemma_value(args.p, args.t, args.N)
     line = (

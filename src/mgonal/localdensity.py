@@ -232,6 +232,13 @@ def tau_lemma_value(p: int, t: int, N: int) -> int | None:
 
     Returns None when p does not divide N (no closed rule applies).
     """
+    _check_prime(p)
+    _check_int(t, "t")
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    _check_int(N, "N")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if N % p != 0:
         return None
     if p != 2:

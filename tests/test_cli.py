@@ -182,10 +182,10 @@ def test_guy_pass(capsys):
 
 
 def test_guy_fail_exits_two(monkeypatch, capsys):
-    import mgonal.cli as cli
+    import mgonal.constructions as constructions
 
     report = GuyReport(10, 5, 100, (5, 7), False)
-    monkeypatch.setattr(cli.constructions, "verify_guy", lambda gf, bound: report)
+    monkeypatch.setattr(constructions, "verify_guy", lambda gf, bound: report)
     assert main(["guy", "--m", "10", "--ell", "5", "--bound", "100"]) == CONFORMANCE_EXIT
     assert "FAIL" in capsys.readouterr().out
 
@@ -277,3 +277,80 @@ def test_the_package_imports_only_the_standard_library():
     outside = {(name, where) for name, where in imported
                if name.partition(".")[0] not in sys.stdlib_module_names}
     assert not outside
+
+
+# ---------------------------------------------------------------------------
+# lazy imports: the package and each command load only what they use
+
+PUBLIC_NAMES = {  # the package's public API, listed here apart from its own table
+    "ConformanceRow", "Density", "EscalatorNode", "EscalatorTree", "GuyForm", "GuyReport",
+    "InternalConsistencyError", "JordanDecomposition", "PolygonalForm", "RepresentationSet",
+    "ResourceCapError", "ShiftedDiagonalLattice", "TreeParseError", "WrongDispatchError",
+    "admissible", "build_tree", "classify_universality_pattern", "conformance_csv",
+    "density_p_dividing_N", "deserialize_tree", "extend_set", "guy_form", "guy_report_csv",
+    "h_of_ell", "jordan_decompose", "lattice_from_form", "local_density",
+    "lower_bound_witness", "polygonal_value", "polygonal_values_up_to",
+    "representation_count", "represented_set", "represents_equivalence_check",
+    "serialize_tree", "shift_fraction", "siegel_count_density", "stabilization_threshold",
+    "tau_gauss_sum", "tau_lemma_value", "truant", "verify_case_bounds", "verify_guy",
+    "verify_guy_grid", "walk_summary", "yang_density_odd", "yang_density_two",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, not_loaded",
+    [
+        (None, ["mgonal"], []),  # and no mgonal.* submodule, checked below
+        (["gamma", "--m", "3", "--bound", "2000"], ["mgonal.escalator"],
+         ["mgonal.localdensity", "mgonal.lattice", "mgonal.constructions", "fractions"]),
+        (["tree", "--m", "3", "--bound", "100"], ["mgonal.escalator"],
+         ["mgonal.localdensity", "mgonal.lattice", "mgonal.constructions", "fractions"]),
+        (["guy", "--m", "10", "--ell", "5"], ["mgonal.constructions"],
+         ["mgonal.escalator", "mgonal.localdensity", "mgonal.lattice"]),
+        (["density", "--gram", "1,1,1,1", "--p", "3", "--h", "8"], ["mgonal.localdensity"],
+         ["mgonal.escalator", "mgonal.constructions"]),
+        (["tau", "--p", "3", "--t", "2", "--N", "3", "--c", "1"], ["mgonal.localdensity"],
+         ["mgonal.escalator", "mgonal.constructions"]),
+    ],
+    ids=["import", "gamma", "tree", "guy", "density", "tau"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded, not_loaded):
+    # a fresh interpreter: this one has every module loaded already
+    if argv is None:
+        code = "import mgonal"
+    else:
+        code = f"from mgonal.cli import main; assert main({argv!r}) == 0"
+    code += "\nimport sys; print(*sorted(sys.modules))"
+    src = str(Path(mgonal.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+    )
+    modules = set(proc.stdout.splitlines()[-1].split())
+    if argv is None:
+        assert not {m for m in modules if m.startswith("mgonal.")}
+    assert set(loaded) <= modules
+    assert not set(not_loaded) & modules
+
+
+def test_every_export_is_the_object_its_module_defines(monkeypatch):
+    assert set(mgonal.__all__) == PUBLIC_NAMES
+    for name in mgonal.__all__:
+        monkeypatch.delattr(mgonal, name)  # so the lookup below runs the package hook
+        value = getattr(mgonal, name)
+        assert value.__module__.startswith("mgonal.")
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert vars(mgonal)[name] is value  # cached for later lookups
+
+
+def test_the_lazy_package_namespace(monkeypatch):
+    assert set(mgonal.__all__) <= set(dir(mgonal))
+    assert "__all__" in dir(mgonal) and "__version__" in dir(mgonal)
+    namespace = {}
+    exec("from mgonal import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(mgonal.__all__)
+    monkeypatch.delattr(mgonal, "lattice")
+    assert mgonal.lattice is sys.modules["mgonal.lattice"]
+    with pytest.raises(AttributeError, match=r"^module 'mgonal' has no attribute 'no_such_name'$"):
+        mgonal.no_such_name
+    assert not hasattr(mgonal, "_check_int")

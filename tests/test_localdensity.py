@@ -79,6 +79,22 @@ def test_tau_lemma_values():
     assert tau_lemma_value(3, 2, 5) is None  # p does not divide N
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((4, 1, 8), "expected a prime, got 4"),
+        ((3, 1.0, 3), "t must be an integer, got 1.0"),
+        ((3, 1, 3.0), "N must be an integer, got 3.0"),
+        ((3, -1, 3), "t must be >= 1"),
+        ((3, 1, 0), "N must be >= 1"),
+        ((3, 1, "3"), "N must be an integer, got '3'"),
+    ],
+)
+def test_tau_lemma_value_refuses_bad_arguments(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tau_lemma_value(*args)
+
+
 def test_tau_numeric_matches_the_lemma_values():
     cases = {(3, 3): (1, 2), (5, 5): (1, 2, 3, 4), (2, 2): (1,), (2, 4): (1, 3)}
     for (p, N), cs in cases.items():
