@@ -10,11 +10,13 @@ Two independent routes are kept deliberately separate:
 * a counting oracle: the density is the stabilized value of
   #{x mod p^t : q(x) = h mod p^t} / p^((n-1)*t).  As x -> s*x shows, the
   count at v is unchanged when v is scaled by a unit square s^2, so counts
-  are convolved class by class.  The class tables of Z/p^t are built level
-  by level from those of Z/p^(t-1), through x -> p*x and the lifts of units
-  mod p^min(t, 3) (mod p for odd p), without visiting the p^t residues.
-  Each modulus has one pair table, grouped by the class of the last summand
-  as the convolution walks it.
+  are convolved class by class.  The class tables of Z/p^t are built from
+  those of Z/p^(t-1) alone, through x -> p*x and the lifts of units mod
+  p^min(t, 3) (mod p for odd p), without visiting the p^t residues.  Each
+  modulus has one pair table, grouped by the class of the last summand as
+  the convolution walks it.  A single coefficient a is counted in closed
+  form, for the classes a count asks for only: the x of valuation k < t/2
+  put a*x^2 in the class of a*p^(2k), and the rest make a*x^2 = 0.
 
 The twain meet only in tests and in explicit cross-check flags; neither
 route falls back to the other.
@@ -210,6 +212,8 @@ def tau_gauss_sum(p: int, t: int, alpha: int, N: int, c: int) -> complex:
         raise ValueError("t must be >= 1")
     _check_int(alpha, "alpha")
     _check_int(N, "N")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     _check_int(c, "c")
     if alpha % p == 0:
         raise ValueError("alpha must be a p-adic unit")
@@ -418,24 +422,22 @@ def _square_class(v: int, p: int, t: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=64)
-def _class_tables(p: int, t: int) -> tuple[dict, tuple, tuple, tuple, tuple, tuple]:
-    """(index, reps, sizes, squares, coordinates, table) for Z/p^t, built
-    from the levels below without visiting the p^t residues.
+def _class_tables(p: int, t: int) -> tuple[dict, tuple, tuple, tuple]:
+    """(index, reps, sizes, table) for Z/p^t, built from level t - 1 alone
+    without visiting the p^t residues.
 
     Classes are numbered by descending valuation, zero first and units last,
     so x -> p*x carries class i of Z/p^(t-1) onto class i of Z/p^t (key
     (k, u) to (k + 1, u)) and the unit classes follow.  A unit's class is
     fixed by its residue mod q = p^min(t, 3) at p = 2 and mod q = p for odd
     p, and each unit mod q lifts to p^t / q units mod p^t.  reps[C] is one
-    element of class C, sizes[C] its number of elements, squares[C] the
-    number of x with x^2 in class C, and coordinates[c][C] the number of x
-    with a*x^2 equal to one element of class C, a in class c.  table[j]
-    lists (C, i, n): for the representative r of class C, n is the number
-    of w in class i with r - w in class j.
+    element of class C and sizes[C] its number of elements.  table[j] lists
+    (C, i, n): for the representative r of class C, n is the number of w in
+    class i with r - w in class j.
     """
     if t == 0:
-        return {(0, 0): 0}, (0,), (1,), (1,), ((1,),), (((0, 0, 1),),)
-    index, reps, sizes, _, _, table = _class_tables(p, t - 1)
+        return {(0, 0): 0}, (0,), (1,), (((0, 0, 1),),)
+    index, reps, sizes, table = _class_tables(p, t - 1)
     q = p ** min(t, 3 if p == 2 else 1)
     lift = p**t // q
     index = {(k + 1, u): i for (k, u), i in index.items()}
@@ -473,36 +475,28 @@ def _class_tables(p: int, t: int) -> tuple[dict, tuple, tuple, tuple, tuple, tup
             j = unit[(reps[C] - reps[c]) % q]
             table[j].append((C, c, sizes[c]))
             table[c].append((C, j, sizes[c]))
-    # x = p*x' gives x^2 = p^2*x'^2, and x' mod p^(t-1) covers each residue
-    # mod p^(t-2) p times; at t = 1 only x = 0 is left.
-    squares = [p * n for n in _class_tables(p, t - 2)[3]] if t > 1 else [1]
-    squares += [0] * (len(index) - len(squares))
-    for w in unit:
-        squares[unit[w * w % q]] += lift
-    M = p**t
-    coordinates = []
-    for a in reps:
-        # a*x^2 is in the class of a*rep(class of x^2).
-        totals = [0] * len(reps)
-        for c, n in enumerate(squares):
-            if n:
-                totals[index[_square_class(a * reps[c] % M, p, t)]] += n
-        coordinates.append(tuple(total // size for total, size in zip(totals, sizes)))
-    table = tuple(map(tuple, table))
-    return index, tuple(reps), tuple(sizes), tuple(squares), tuple(coordinates), table
+    return index, tuple(reps), tuple(sizes), tuple(map(tuple, table))
 
 
 @lru_cache(maxsize=4096)
 def _class_distribution(p: int, t: int, classes: tuple[int, ...]) -> tuple[int, ...]:
     """Count of sum(a_j x_j^2) = v mod p^t for one v in each class, the a_j
-    in the given classes.  The pair table is grouped by the class j of the
-    last summand, so each level scatters over the nonzero terms only: for
-    every class j the last coefficient reaches, the entries (C, i, n) of
-    table[j] with head[i] nonzero add n * head[i] * last[j] to class C."""
-    *_, coordinates, table = _class_tables(p, t)
-    last = coordinates[classes[-1]]
+    in the given classes.  One coefficient a: an x of valuation k < t/2 puts
+    a*x^2 in the class of a*p^(2k), as unit squares keep the class, and
+    there are p^(t-k-1)*(p-1) such x; the other p^(t//2) make a*x^2 = 0.
+    More coefficients: the pair table is grouped by the class j of the last
+    summand, so each level scatters over the nonzero terms only: for every
+    class j the last coefficient reaches, the entries (C, i, n) of table[j]
+    with head[i] nonzero add n * head[i] * last[j] to class C."""
+    index, reps, sizes, table = _class_tables(p, t)
     if len(classes) == 1:
-        return last
+        M, a = p**t, reps[classes[0]]
+        totals = [p ** (t // 2)] + [0] * (len(reps) - 1)
+        for k in range((t + 1) // 2):
+            C = index[_square_class(a * p ** (2 * k) % M, p, t)]
+            totals[C] += p ** (t - k - 1) * (p - 1)
+        return tuple(n // size for n, size in zip(totals, sizes))
+    last = _class_distribution(p, t, classes[-1:])
     head = _class_distribution(p, t, classes[:-1])
     out = [0] * len(last)
     for lj, entries in zip(last, table):

@@ -115,6 +115,11 @@ def test_tau_input_validation():
         tau_gauss_sum(3, 1, 6, 3, 1)  # alpha not a unit
     with pytest.raises(ValueError):
         tau_gauss_sum(2, 1, 1, 4, 2)  # c shares a factor with N
+    for N in (0, -3):
+        with pytest.raises(ValueError, match=r"^N must be >= 1$"):
+            tau_gauss_sum(3, 1, 1, N, 1)
+    with pytest.raises(ValueError, match=r"^N must be >= 1$"):
+        tau_gauss_sum(3, 10**7, 1, 0, 1)  # refused before the modulus cap
     with pytest.raises(ResourceCapError):
         tau_gauss_sum(2, 19, 1, 2, 1)
 
@@ -244,7 +249,7 @@ def _rows(table) -> list[list[tuple[int, int, int]]]:
     + [(7, t) for t in range(1, 5)],
 )
 def test_class_tables_match_per_residue_counts(p, t):
-    index, reps, sizes, squares, coordinates, table = localdensity._class_tables(p, t)
+    index, reps, sizes, table = localdensity._class_tables(p, t)
     orbit, ref_pairs, ref_coordinates = ref.square_class_tables(p, t)
     # Each class of the table must be exactly one unit-square orbit.
     number = {}
@@ -255,9 +260,6 @@ def test_class_tables_match_per_residue_counts(p, t):
     assert [number[orbit[r]] for r in reps] == list(range(len(index)))
     M = p**t
     assert Counter(number[orbit[v]] for v in range(M)) == dict(enumerate(sizes))
-    assert Counter(number[orbit[x * x % M]] for x in range(M)) == {
-        C: n for C, n in enumerate(squares) if n
-    }
     pairs = _rows(table)
     for r, counts in ref_pairs.items():
         row = Counter()
@@ -265,7 +267,7 @@ def test_class_tables_match_per_residue_counts(p, t):
             row[i, j] += n
         assert row == {(number[i], number[j]): n for (i, j), n in counts.items()}
     for a, counts in ref_coordinates.items():
-        assert coordinates[number[a]] == tuple(
+        assert localdensity._class_distribution(p, t, (number[a],)) == tuple(
             n for _, n in sorted((number[C], n) for C, n in counts.items())
         )
 
@@ -274,18 +276,19 @@ def test_class_tables_match_per_residue_counts(p, t):
 def test_class_tables_count_every_residue_past_the_naive_reach(p, t):
     # The naive tables stop at 2^12.  Past it, each part of the table must
     # still count every residue mod p^t once: the elements of the classes,
-    # the x behind the squares, the w in the row of each class, and the x
-    # behind each coefficient's coordinates.
-    _, _, sizes, squares, coordinates, table = localdensity._class_tables(p, t)
+    # the w in the row of each class, and the x behind the one-coefficient
+    # row of each class.
+    _, _, sizes, table = localdensity._class_tables(p, t)
     M = p**t
-    assert sum(sizes) == sum(squares) == M
+    assert sum(sizes) == M
     per_row = Counter()
     for entries in table:
         for C, _, n in entries:
             per_row[C] += n
     assert per_row == dict.fromkeys(range(len(sizes)), M)
-    for row in coordinates:
-        assert sum(n * size for n, size in zip(row, sizes)) == M
+    for c in range(len(sizes)):
+        row = localdensity._class_distribution(p, t, (c,))
+        assert sum(n * size for n, size in zip(row, sizes)) == M, c
 
 
 SMALL_TABLES = [(p, t) for p in (2, 3, 5, 7, 11, 13) for t in range(1, 13) if p**t <= 4096]
@@ -295,10 +298,11 @@ def test_class_distribution_matches_the_naive_convolution_on_every_pair():
     # The scatter over nonzero terms against the plain row sums, for every
     # ordered pair of coefficient classes of every small table.
     for p, t in SMALL_TABLES:
-        *_, coordinates, table = localdensity._class_tables(p, t)
+        *_, table = localdensity._class_tables(p, t)
         pairs = _rows(table)
-        for a, head in enumerate(coordinates):
-            for b, last in enumerate(coordinates):
+        rows = [localdensity._class_distribution(p, t, (c,)) for c in range(len(table))]
+        for a, head in enumerate(rows):
+            for b, last in enumerate(rows):
                 fast = localdensity._class_distribution(p, t, (a, b))
                 assert fast == ref.class_convolution(pairs, head, last), (p, t, a, b)
 
@@ -307,14 +311,15 @@ def test_class_distribution_matches_the_naive_convolution_on_every_pair():
 def test_class_distribution_matches_the_naive_convolution_on_random_ranks(p, t):
     # 2^14 is the largest modulus of the densities benchmark; the odd primes
     # take the largest exponent under DEFAULT_ORACLE_MODULUS_CAP.
-    *_, coordinates, table = localdensity._class_tables(p, t)
+    *_, table = localdensity._class_tables(p, t)
     pairs = _rows(table)
+    rows = [localdensity._class_distribution(p, t, (c,)) for c in range(len(table))]
     rng = random.Random(p * 100 + t)
     for _ in range(12):
-        classes = tuple(rng.randrange(len(coordinates)) for _ in range(rng.randint(3, 6)))
-        want = coordinates[classes[0]]
+        classes = tuple(rng.randrange(len(rows)) for _ in range(rng.randint(3, 6)))
+        want = rows[classes[0]]
         for c in classes[1:]:
-            want = ref.class_convolution(pairs, want, coordinates[c])
+            want = ref.class_convolution(pairs, want, rows[c])
         assert localdensity._class_distribution(p, t, classes) == want, classes
 
 
@@ -446,7 +451,9 @@ def test_the_two_density_routes_stay_independent():
         "jordan_decompose", "_d_of_t", "_l_indices", "_pow_frac",
         "_two_adic_term", "_kronecker2", "_unit_part_mod",
     } | {name for name in defs if name.startswith("tau_")}
-    oracle_only = {"_class_tables", "_class_distribution", "_residue_count_density"}
+    oracle_only = {
+        "_class_tables", "_class_distribution", "_residue_count_density", "_square_class",
+    }
     assert formula_only | oracle_only <= set(defs)
     assert not _reach(graph, "siegel_count_density") & formula_only
     for entry in ("yang_density_odd", "yang_density_two", "density_p_dividing_N"):
