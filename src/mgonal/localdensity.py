@@ -5,10 +5,15 @@ Two independent routes are kept deliberately separate:
 * closed forms / explicit formulas: at primes dividing the conductor N the
   density collapses to a one-line closed form; at unramified primes Yang's
   explicit formulas give the density of a diagonal lattice as a finite sum
-  of signed prime powers.  Everything is exact rational arithmetic.
+  of signed prime powers.  The sum is taken in integers, over the powers'
+  least exponent, and becomes one Fraction at the end; the formulas'
+  half-integer exponents d(t) are held doubled, as the integers 2*d(t), and
+  that every power has an integer exponent is still checked.
 
 * a counting oracle: the density is the stabilized value of
-  #{x mod p^t : q(x) = h mod p^t} / p^((n-1)*t).  As x -> s*x shows, the
+  #{x mod p^t : q(x) = h mod p^t} / p^((n-1)*t).  The counts at t, t+1 and
+  t+2 are compared as integers (each must be p^(n-1) times the one before),
+  and only the ratio at t becomes a Fraction.  As x -> s*x shows, the
   count at v is unchanged when v is scaled by a unit square s^2, so counts
   are convolved class by class.  The class tables of Z/p^t are built from
   those of Z/p^(t-1) alone, through x -> p*x and the lifts of units mod
@@ -115,16 +120,6 @@ def _kronecker2(x: int) -> int:
     return 1 if x % 8 in (1, 7) else -1
 
 
-def _pow_frac(p: int, e: int) -> Fraction:
-    return Fraction(p) ** e
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise InternalConsistencyError(f"{what} should be an integer, got {x}")
-    return x.numerator
-
-
 # ---------------------------------------------------------------------------
 # Jordan data and the Density result type
 
@@ -132,10 +127,34 @@ def _as_int(x: Fraction, what: str) -> int:
 @dataclass(frozen=True)
 class JordanDecomposition:
     """Diagonal p-adic shape: entries (r_i, b_i) with a_i = b_i * p^r_i,
-    b_i a unit, sorted by r ascending (stable in the original order)."""
+    b_i a unit, sorted by r ascending (stable in the original order).
+
+    Construction checks that p is prime, that each entry is a pair of ints
+    with r >= 0 and b >= 1 prime to p, and that the entries are sorted by
+    r; anything else raises ValueError."""
 
     p: int
     entries: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        _check_prime(self.p)
+        if not isinstance(self.entries, tuple):
+            raise ValueError(f"Jordan entries must be a tuple, got {self.entries!r}")
+        for entry in self.entries:
+            if not (
+                isinstance(entry, tuple)
+                and len(entry) == 2
+                and all(type(x) is int for x in entry)
+                and entry[0] >= 0
+                and entry[1] >= 1
+                and entry[1] % self.p
+            ):
+                raise ValueError(
+                    f"Jordan entries must be pairs (r, b) of ints with r >= 0 and "
+                    f"b >= 1 prime to {self.p}, got {entry!r}"
+                )
+        if any(r > s for r, s in zip(self.exponents, self.exponents[1:])):
+            raise ValueError(f"Jordan entries must be sorted by exponent, got {self.exponents}")
 
     @property
     def n(self) -> int:
@@ -285,9 +304,16 @@ def _l_indices(exponents: tuple[int, ...], t: int) -> list[int]:
     return [i for i, r in enumerate(exponents) if r < t and (t - r) % 2 == 1]
 
 
-def _d_of_t(exponents: tuple[int, ...], t: int) -> Fraction:
-    """t + (1/2) * sum(r_i - t over r_i < t)."""
-    return t + Fraction(sum(r - t for r in exponents if r < t), 2)
+def _power_sum(p: int, terms: list[tuple[int, int]]) -> Fraction:
+    """sum(sign * p^(e/2)) over the (sign, e) in terms, as one Fraction over
+    p^-(least exponent).  Each e is a doubled exponent: the formulas' d(t)
+    are half-integers, held as 2*d(t), and every term needs an integer
+    power, so an odd e is an error."""
+    for _, e in terms:
+        if e % 2:
+            raise InternalConsistencyError(f"exponent {e}/2 of {p} should be an integer")
+    low = min([0] + [e // 2 for _, e in terms])
+    return Fraction(sum(sign * p ** (e // 2 - low) for sign, e in terms), p**-low)
 
 
 def yang_density_odd(jd: JordanDecomposition, h: Fraction | int) -> Density:
@@ -302,8 +328,10 @@ def yang_density_odd(jd: JordanDecomposition, h: Fraction | int) -> Density:
               + eps(a+1) * p^d(a+1) * f1
 
     where f1 = -1/p when #L(a+1) is even and (alpha/p) * p^(-1/2) when it
-    is odd.  The half powers always combine to integer exponents; that is
-    asserted, not assumed.
+    is odd.  The terms are summed as signed prime powers in integers, each
+    (1 - 1/p) * p^d as p^d - p^(d-1), into one Fraction at the end.  d(t)
+    is held doubled, as the integer 2*d(t); that the half powers combine
+    to integer exponents is checked, not assumed.
     """
     p = jd.p
     if p == 2:
@@ -312,32 +340,25 @@ def yang_density_odd(jd: JordanDecomposition, h: Fraction | int) -> Density:
         raise ValueError("rank must be even and >= 4")
     h, a = _integral_target(h, p)
     rs = jd.exponents
-    bs = jd.units
+    chi = [_legendre(b, p) for b in jd.units]
+    minus_one = _legendre(-1, p)
 
-    def eps(t: int) -> int:
+    terms = [(1, 0)]
+    for t in range(1, a + 2):
         ls = _l_indices(rs, t)
-        sign = _legendre(-1, p) ** (len(ls) // 2)
+        if t <= a and len(ls) % 2:
+            continue
+        eps = minus_one ** (len(ls) // 2)
         for i in ls:
-            sign *= _legendre(bs[i], p)
-        return sign
-
-    middle = Fraction(0)
-    for t in range(1, a + 1):
-        if len(_l_indices(rs, t)) % 2 == 0:
-            d = _as_int(_d_of_t(rs, t), "d(t) with even index count")
-            middle += eps(t) * _pow_frac(p, d)
-    middle *= 1 - Fraction(1, p)
-
-    l_end = len(_l_indices(rs, a + 1))
-    d_end = _d_of_t(rs, a + 1)
-    if l_end % 2 == 0:
-        boundary = eps(a + 1) * _pow_frac(p, _as_int(d_end, "d(a+1)")) * Fraction(-1, p)
-    else:
-        alpha = _unit_part_mod(h, p, p)
-        e = _as_int(d_end - Fraction(1, 2), "d(a+1) - 1/2 with odd index count")
-        boundary = eps(a + 1) * _legendre(alpha, p) * _pow_frac(p, e)
-
-    return Density(1 + middle + boundary, "yang_odd")
+            eps *= chi[i]
+        d2 = 2 * t + sum(r - t for r in rs if r < t)  # 2 * d(t)
+        if t <= a:
+            terms += [(eps, d2), (-eps, d2 - 2)]
+        elif len(ls) % 2 == 0:
+            terms.append((-eps, d2 - 2))
+        else:
+            terms.append((eps * _legendre(_unit_part_mod(h, p, p), p), d2 - 1))
+    return Density(_power_sum(p, terms), "yang_odd")
 
 
 def yang_density_two(jd: JordanDecomposition, h: Fraction | int) -> Density:
@@ -352,8 +373,9 @@ def yang_density_two(jd: JordanDecomposition, h: Fraction | int) -> Density:
     delta * (2/eps) * 2^(d-1) * e(mu/8) * [mu in 4Z_2], where e(mu/8) is +1
     for mu = 0 mod 8 and -1 for mu = 4 mod 8.  The result is 1 plus the sum.
 
-    Only residues mod 8 of alpha and the b_i enter; exponent integrality is
-    asserted.
+    Only residues mod 8 of alpha and the b_i enter.  The terms are summed
+    as signed powers of 2 in integers, into one Fraction at the end; d(t)
+    is held doubled, and the integrality of each exponent is checked.
     """
     p = jd.p
     if p != 2:
@@ -365,34 +387,33 @@ def yang_density_two(jd: JordanDecomposition, h: Fraction | int) -> Density:
     bs = jd.units
     alpha8 = _unit_part_mod(h, 2, 8)
 
-    total = Fraction(0)
+    terms = [(1, 0)]
     for t in range(2, a + 4):
         term = _two_adic_term(rs, t)
         if term is None:
             continue
-        odd, power = term
+        odd, e2 = term
         eps8 = 1
         for i in _l_indices(rs, t - 1):
             eps8 = eps8 * bs[i] % 8
         low = sum(b for b, r in zip(bs, rs) if r < t - 1)
         mu8 = (alpha8 * pow(2, a + 3 - t, 8) - low) % 8
         if odd:
-            total += _kronecker2(mu8 * eps8 % 8) * power
+            terms.append((_kronecker2(mu8 * eps8 % 8), e2))
         elif mu8 % 4 == 0:  # mu in 4 Z_2
-            total += _kronecker2(eps8) * (1 if mu8 == 0 else -1) * power
+            terms.append((_kronecker2(eps8) * (1 if mu8 == 0 else -1), e2))
+    return Density(_power_sum(2, terms), "yang_two")
 
-    return Density(1 + total, "yang_two")
 
-
-def _two_adic_term(rs: tuple[int, ...], t: int) -> tuple[bool, Fraction] | None:
-    """None when delta(t) = 0, else (odd, 2^e): whether the index count is
-    odd, and e = d(t) - 3/2 if it is, d(t) - 1 if not, where the 2-adic
-    d(t) = t + (1/2) * sum(r_i - t + 1 over r_i < t - 1)."""
+def _two_adic_term(rs: tuple[int, ...], t: int) -> tuple[bool, int] | None:
+    """None when delta(t) = 0, else (odd, 2e): whether the index count is
+    odd, and the doubled exponent of e = d(t) - 3/2 if it is, d(t) - 1 if
+    not, where the 2-adic d(t) = t + (1/2) * sum(r_i - t + 1 over
+    r_i < t - 1)."""
     if t - 1 in rs:
         return None
     odd = len(_l_indices(rs, t - 1)) % 2 == 1
-    e = _d_of_t(rs, t - 1) + 1 - (Fraction(3, 2) if odd else 1)
-    return odd, _pow_frac(2, _as_int(e, "2-adic exponent"))
+    return odd, 2 * t + sum(r - t + 1 for r in rs if r < t - 1) - (3 if odd else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +528,12 @@ def _class_distribution(p: int, t: int, classes: tuple[int, ...]) -> tuple[int, 
     return tuple(out)
 
 
-def _residue_count_density(p: int, t: int, gram: tuple[int, ...], h: Fraction) -> Fraction:
+def _residue_count(p: int, t: int, gram: tuple[int, ...], h: Fraction) -> int:
+    """#{x mod p^t : sum(a*x^2) = h mod p^t}."""
     M, index = p**t, _class_tables(p, t)[0]
     h_mod = h.numerator * pow(h.denominator, -1, M) % M
     classes = tuple(sorted(index[_square_class(a % M, p, t)] for a in gram))
-    count = _class_distribution(p, t, classes)[index[_square_class(h_mod, p, t)]]
-    return Fraction(count, p ** ((len(gram) - 1) * t))
+    return _class_distribution(p, t, classes)[index[_square_class(h_mod, p, t)]]
 
 
 def siegel_count_density(
@@ -523,7 +544,9 @@ def siegel_count_density(
 
     Only defined away from the conductor (p must not divide N).  The
     returned Density carries stabilized=True iff the ratio is identical at
-    t, t+1 and t+2; the largest modulus p^(t+2) may not exceed
+    t, t+1 and t+2, that is iff each count is p^(n-1) times the one before;
+    the counts are compared as integers and only the ratio at t becomes a
+    Fraction.  The largest modulus p^(t+2) may not exceed
     DEFAULT_ORACLE_MODULUS_CAP, which is checked before any table is built.
     """
     _check_prime(p)
@@ -541,8 +564,10 @@ def siegel_count_density(
     h, _ = _integral_target(h, p)
     for tt in (t, t + 1, t + 2):
         _capped_modulus(p, tt, "oracle modulus {p}^{t} = {M} exceeds cap {cap}")
-    vals = [_residue_count_density(p, tt, gram, h) for tt in (t, t + 1, t + 2)]
-    return Density(vals[0], "oracle", t=t, stabilized=vals[0] == vals[1] == vals[2])
+    c0, c1, c2 = (_residue_count(p, tt, gram, h) for tt in (t, t + 1, t + 2))
+    step = p ** (len(gram) - 1)
+    stabilized = c1 == c0 * step and c2 == c1 * step
+    return Density(Fraction(c0, step**t), "oracle", t=t, stabilized=stabilized)
 
 
 # ---------------------------------------------------------------------------
@@ -660,11 +685,8 @@ class ConformanceRow:
 def _tail_sum_two_adic(rs: tuple[int, ...], start: int, stop: int) -> Fraction:
     """sum over start <= t <= stop of delta(t) * (2^(d-3/2) on odd index
     count, else 2^(d-1)) for the 2-adic exponent data."""
-    total = Fraction(0)
-    for t in range(start, stop + 1):
-        if (term := _two_adic_term(rs, t)) is not None:
-            total += term[1]
-    return total
+    terms = (_two_adic_term(rs, t) for t in range(start, stop + 1))
+    return _power_sum(2, [(1, term[1]) for term in terms if term is not None])
 
 
 def verify_case_bounds(
@@ -717,7 +739,7 @@ def verify_case_bounds(
                     bound = Fraction(r4)
                     ok = Fraction(p - 2, p) <= r1 <= bound
             else:
-                bound = 1 - (_pow_frac(p, -rn) - _pow_frac(p, -(rn + 1)))
+                bound = 1 - (Fraction(1, p**rn) - Fraction(1, p ** (rn + 1)))
                 ok = abs(r1) <= bound
             ok = ok and value > 0
             rows.append(ConformanceRow(p, gram, None, None, h, method, r1, bound, ok))
@@ -729,15 +751,15 @@ def verify_case_bounds(
         rows.append(ConformanceRow(2, gram, None, None, None, method, value, bound, ok))
 
     sharpened = rs[:4] in ((0, 0, 0, 2), (0, 0, 1, 3))
-    tail = _tail_sum_two_adic(rs, rn + 2, rn + 3) / (1 - _pow_frac(2, 2 - jd.n))
-    series_row("lemma4_tail", tail, _pow_frac(2, r4 - rn - 1))
+    tail = _tail_sum_two_adic(rs, rn + 2, rn + 3) / (1 - Fraction(2) ** (2 - jd.n))
+    series_row("lemma4_tail", tail, Fraction(2) ** (r4 - rn - 1))
     if sharpened:
-        series_row("lemma4_tail_sharpened", tail, _pow_frac(2, r4 - rn - 2))
+        series_row("lemma4_tail_sharpened", tail, Fraction(2) ** (r4 - rn - 2))
     if r4 + 2 <= rn:
         middle = _tail_sum_two_adic(rs, r4 + 2, rn)
-        series_row("lemma5_middle", middle, 1 - _pow_frac(2, r4 - rn + 1))
+        series_row("lemma5_middle", middle, 1 - Fraction(2) ** (r4 - rn + 1))
         if sharpened:
-            series_row("lemma5_middle_sharpened", middle, Fraction(1, 2) - _pow_frac(2, r4 - rn))
+            series_row("lemma5_middle_sharpened", middle, Fraction(1, 2) - Fraction(2) ** (r4 - rn))
     for h in h_values:
         h = _check_target(h)
         value = yang_density_two(jd, h).value

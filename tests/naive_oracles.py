@@ -15,6 +15,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from mgonal import localdensity
+from mgonal.errors import InternalConsistencyError, WrongDispatchError
+from mgonal.localdensity import _integral_target, _kronecker2, _legendre, _unit_part_mod
+
 
 def polygonal_values(m: int, bound: int) -> list[int]:
     """Sorted distinct generalized m-gonal values in [0, bound], by scanning
@@ -76,6 +80,97 @@ def residue_density(p: int, t: int, gram: tuple[int, ...], h) -> Fraction:
         if sum(a * x * x for a, x in zip(gram, vec)) % M == target:
             count += 1
     return Fraction(count, M ** (len(gram) - 1))
+
+
+def _l_indices(exponents, t):
+    return [i for i, r in enumerate(exponents) if r < t and (t - r) % 2 == 1]
+
+
+def _d_of_t(exponents, t) -> Fraction:
+    """t + (1/2) * sum(r_i - t over r_i < t), a half-integer."""
+    return t + Fraction(sum(r - t for r in exponents if r < t), 2)
+
+
+def _as_int(x: Fraction, what: str) -> int:
+    if x.denominator != 1:
+        raise InternalConsistencyError(f"{what} should be an integer, got {x}")
+    return x.numerator
+
+
+def yang_density_odd(jd, h) -> Fraction:
+    """Yang's odd-prime formula term by term in Fraction arithmetic: 1 plus
+    (1 - 1/p) * eps(t) * p^d(t) over 0 < t <= a with #L(t) even, plus the
+    boundary term at a + 1.  The library sums the same terms in integers."""
+    p = jd.p
+    if p == 2:
+        raise WrongDispatchError("this formula is for odd primes; use the 2-adic one")
+    if jd.n % 2 != 0 or jd.n < 4:
+        raise ValueError("rank must be even and >= 4")
+    h, a = _integral_target(h, p)
+    rs, bs = jd.exponents, jd.units
+
+    def eps(t):
+        ls = _l_indices(rs, t)
+        sign = _legendre(-1, p) ** (len(ls) // 2)
+        for i in ls:
+            sign *= _legendre(bs[i], p)
+        return sign
+
+    middle = Fraction(0)
+    for t in range(1, a + 1):
+        if len(_l_indices(rs, t)) % 2 == 0:
+            d = _as_int(_d_of_t(rs, t), "d(t) with even index count")
+            middle += eps(t) * Fraction(p) ** d
+    middle *= 1 - Fraction(1, p)
+    l_end = len(_l_indices(rs, a + 1))
+    d_end = _d_of_t(rs, a + 1)
+    if l_end % 2 == 0:
+        boundary = eps(a + 1) * Fraction(p) ** _as_int(d_end, "d(a+1)") * Fraction(-1, p)
+    else:
+        alpha = _unit_part_mod(h, p, p)
+        e = _as_int(d_end - Fraction(1, 2), "d(a+1) - 1/2 with odd index count")
+        boundary = eps(a + 1) * _legendre(alpha, p) * Fraction(p) ** e
+    return 1 + middle + boundary
+
+
+def yang_density_two(jd, h) -> Fraction:
+    """Yang's 2-adic formula term by term in Fraction arithmetic, each term
+    delta(t) * sign * 2^(d(t) - 3/2 or d(t) - 1) for 1 < t <= a + 3."""
+    if jd.p != 2:
+        raise WrongDispatchError("this formula is specific to p = 2")
+    if jd.n % 2 != 0 or jd.n < 4:
+        raise ValueError("rank must be even and >= 4")
+    h, a = _integral_target(h, 2)
+    rs, bs = jd.exponents, jd.units
+    alpha8 = _unit_part_mod(h, 2, 8)
+    total = Fraction(0)
+    for t in range(2, a + 4):
+        if t - 1 in rs:  # delta(t) = 0
+            continue
+        odd = len(_l_indices(rs, t - 1)) % 2 == 1
+        e = _d_of_t(rs, t - 1) + 1 - (Fraction(3, 2) if odd else 1)
+        power = Fraction(2) ** _as_int(e, "2-adic exponent")
+        eps8 = 1
+        for i in _l_indices(rs, t - 1):
+            eps8 = eps8 * bs[i] % 8
+        low = sum(b for b, r in zip(bs, rs) if r < t - 1)
+        mu8 = (alpha8 * pow(2, a + 3 - t, 8) - low) % 8
+        if odd:
+            total += _kronecker2(mu8 * eps8 % 8) * power
+        elif mu8 % 4 == 0:
+            total += _kronecker2(eps8) * (1 if mu8 == 0 else -1) * power
+    return 1 + total
+
+
+def stabilized_count_density(p: int, gram, h, t: int) -> tuple[Fraction, bool]:
+    """(ratio at t, whether it is identical at t, t+1 and t+2), each ratio
+    count / p^((n-1)*t') a Fraction of its own, from the oracle's counts."""
+    h = Fraction(h)
+    vals = [
+        Fraction(localdensity._residue_count(p, tt, tuple(gram), h), p ** ((len(gram) - 1) * tt))
+        for tt in (t, t + 1, t + 2)
+    ]
+    return vals[0], vals[0] == vals[1] == vals[2]
 
 
 def square_class_tables(p: int, t: int) -> tuple[list[int], dict, dict]:

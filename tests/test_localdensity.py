@@ -18,6 +18,7 @@ from mgonal import (
     ConformanceRow,
     Density,
     InternalConsistencyError,
+    JordanDecomposition,
     PolygonalForm,
     ResourceCapError,
     ShiftedDiagonalLattice,
@@ -61,6 +62,36 @@ def test_jordan_decompose_orders_by_exponent():
 def test_jordan_requires_a_prime():
     with pytest.raises(ValueError):
         jordan_decompose(4, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "p, entries, message",
+    [
+        (4, ((0, 1),) * 4, "expected a prime, got 4"),
+        (3, ((0, 1), (0, 1), (0, 1), (0, 3)), "b >= 1 prime to 3, got (0, 3)"),
+        (3, ((1, 1), (0, 1), (0, 1), (0, 1)), "sorted by exponent, got (1, 0, 0, 0)"),
+        (3, ((0, 1.0),) + ((0, 1),) * 3, "got (0, 1.0)"),
+        (3, ((0, True),) + ((0, 1),) * 3, "got (0, True)"),
+        (3, ((-1, 1),) + ((0, 1),) * 3, "got (-1, 1)"),
+        (3, ((0, 0),) + ((0, 1),) * 3, "got (0, 0)"),
+        (3, ((0, -1),) + ((0, 1),) * 3, "got (0, -1)"),
+        (3, ((0, 1, 1),) + ((0, 1),) * 3, "got (0, 1, 1)"),
+        (3, ([0, 1],) + ((0, 1),) * 3, "got [0, 1]"),
+        (3, [(0, 1)] * 4, "Jordan entries must be a tuple"),
+    ],
+)
+def test_jordan_decomposition_refuses_malformed_data(p, entries, message):
+    # Unchecked, the first three make yang_density_odd(jd, 8) return the
+    # wrong densities 75/64, 1 and 4/3, and the fourth raise TypeError.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        JordanDecomposition(p, entries)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+def test_jordan_decompose_output_is_well_formed(p, gram):
+    jd = jordan_decompose(p, gram)
+    assert JordanDecomposition(jd.p, jd.entries) == jd
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +444,49 @@ def test_yang_formulas_match_the_stabilized_oracle(p, gram, h):
     assert formula.value == oracle.value
 
 
+def _outcome(call):
+    """What call() returns, or the type of the ValueError or
+    InternalConsistencyError it raises."""
+    try:
+        return call()
+    except (ValueError, InternalConsistencyError) as err:
+        return type(err)
+
+
+@st.composite
+def _jordan_targets(draw):
+    """(jd, h, t): Jordan data of rank 4-10 with exponents 0-6 and units
+    covering every class mod p and mod 8, an int or Fraction target of
+    valuation 0-6 whose denominator is prime to p, and an oracle exponent
+    t with p^(t+2) <= 4096."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = draw(st.integers(4, 10))
+    units = [u for u in range(1, 8 * p) if u % p]
+    rs = sorted(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    bs = draw(st.lists(st.sampled_from(units), min_size=n, max_size=n))
+    h = draw(st.sampled_from(units)) * p ** draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        h = Fraction(h, draw(st.sampled_from(units)))
+    t = draw(st.integers(1, max(tt for tt in range(1, 12) if p ** (tt + 2) <= 4096)))
+    return JordanDecomposition(p, tuple(zip(rs, bs))), h, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jordan_targets())
+def test_integer_sums_match_the_fraction_reference(inputs):
+    # Both formulas and the oracle's stabilization test against the
+    # reference's term-by-term Fraction arithmetic: equal values (so equal
+    # numerators and denominators), equal flags, and the same refusals.
+    jd, h, t = inputs
+    if jd.p == 2:
+        fast, slow = yang_density_two, ref.yang_density_two
+    else:
+        fast, slow = yang_density_odd, ref.yang_density_odd
+    assert _outcome(lambda: fast(jd, h).value) == _outcome(lambda: slow(jd, h))
+    oracle = siegel_count_density(jd.p, jd.gram(), h, t)
+    assert (oracle.value, oracle.stabilized) == ref.stabilized_count_density(jd.p, jd.gram(), h, t)
+
+
 @pytest.mark.parametrize("gram", [(1, 1, 1, 32), (1, 3, 5, 32), (1, 1, 3, 5, 7, 32)])
 @pytest.mark.parametrize("h", [8, 24, 40])
 def test_yang_two_matches_the_oracle_at_the_cap(gram, h):
@@ -446,18 +520,24 @@ def test_the_two_density_routes_stay_independent():
         name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in defs}
         for name, node in defs.items()
     }
-    formula_only = {
+    formula_entries = {
         "yang_density_odd", "yang_density_two", "density_p_dividing_N",
-        "jordan_decompose", "_d_of_t", "_l_indices", "_pow_frac",
-        "_two_adic_term", "_kronecker2", "_unit_part_mod",
+        "jordan_decompose", "verify_case_bounds",
     } | {name for name in defs if name.startswith("tau_")}
-    oracle_only = {
-        "_class_tables", "_class_distribution", "_residue_count_density", "_square_class",
+    formula_only = formula_entries | {
+        "JordanDecomposition", "classify_universality_pattern",
+        "ConformanceRow", "_l_indices", "_power_sum", "_two_adic_term",
+        "_tail_sum_two_adic", "_kronecker2", "_unit_part_mod",
     }
-    assert formula_only | oracle_only <= set(defs)
-    assert not _reach(graph, "siegel_count_density") & formula_only
-    for entry in ("yang_density_odd", "yang_density_two", "density_p_dividing_N"):
-        assert not _reach(graph, entry) & (oracle_only | {"siegel_count_density"}), entry
+    oracle_only = {
+        "_class_tables", "_class_distribution", "_residue_count", "_square_class",
+    }
+    # Each route-private name is listed: the names only the formulas reach,
+    # and the names only the oracle reaches.
+    formulas = set().union(*(_reach(graph, entry) for entry in formula_entries))
+    oracle = _reach(graph, "siegel_count_density")
+    assert formulas - oracle == formula_only
+    assert oracle - formulas == oracle_only | {"siegel_count_density"}
     # The routes meet only where local_density asks _oracle_check to
     # recompute a formula value.
     assert {n for n in defs if "siegel_count_density" in graph[n]} == {"_oracle_check"}
