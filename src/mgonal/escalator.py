@@ -27,9 +27,8 @@ one breadth-first walk that keeps no more than those sets.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, field
+from reprlib import recursive_repr  # loaded by collections already
 
 from .errors import ResourceCapError, TreeParseError
 from .polygonal import (
@@ -46,23 +45,68 @@ _UNIVERSAL = "universal"
 _NODE_KEYS = frozenset({"coeffs", "truant", "children"})
 
 
-@dataclass(slots=True)
 class EscalatorNode:
-    form: PolygonalForm
-    truant: int | None  # None = B-universal
-    children: list["EscalatorNode"] = field(default_factory=list, kw_only=True)
+    """A form, its truant (None when it is B-universal) and its children.
+    Mutable and unhashable; equal to a node with equal fields."""
+
+    __slots__ = ("form", "truant", "children")
+    __match_args__ = ("form", "truant")
+
+    def __init__(
+        self,
+        form: PolygonalForm,
+        truant: int | None,
+        *,
+        children: list[EscalatorNode] | None = None,
+    ) -> None:
+        self.form = form
+        self.truant = truant
+        self.children = [] if children is None else children
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        return (
+            f"EscalatorNode(form={self.form!r}, truant={self.truant!r}, "
+            f"children={self.children!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.form, self.truant, self.children) == (
+            other.form, other.truant, other.children
+        )
 
     @property
     def depth(self) -> int:
         return self.form.n
 
 
-@dataclass
 class EscalatorTree:
-    m: int
-    bound: int
-    max_depth: int
-    nodes: list[EscalatorNode]  # breadth-first order, root first
+    """A tree's parameters and its nodes in breadth-first order, root first.
+    Mutable and unhashable; equal to a tree with equal fields."""
+
+    __match_args__ = ("m", "bound", "max_depth", "nodes")
+
+    def __init__(self, m: int, bound: int, max_depth: int, nodes: list[EscalatorNode]) -> None:
+        self.m = m
+        self.bound = bound
+        self.max_depth = max_depth
+        self.nodes = nodes
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        return (
+            f"EscalatorTree(m={self.m!r}, bound={self.bound!r}, "
+            f"max_depth={self.max_depth!r}, nodes={self.nodes!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.bound, self.max_depth, self.nodes) == (
+            other.m, other.bound, other.max_depth, other.nodes
+        )
 
     @property
     def root(self) -> EscalatorNode:
@@ -176,6 +220,8 @@ def serialize_tree(tree: EscalatorTree) -> str:
     are stored as indices into that flat array, so serialization is a pure
     function of the tree's content.
     """
+    import json
+
     order = sorted(range(len(tree.nodes)), key=lambda i: tree.nodes[i].form.coeffs)
     position = {id(tree.nodes[i]): pos for pos, i in enumerate(order)}
     doc_nodes = []
@@ -217,6 +263,8 @@ def deserialize_tree(text: str) -> EscalatorTree:
     node has two parents and the sorted nodes form one tree rooted at the
     first node exactly when there are len(nodes) - 1 links.
     """
+    import json
+
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too-long integers, deep nesting

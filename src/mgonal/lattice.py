@@ -19,11 +19,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, ResourceCapError
-from .polygonal import PolygonalForm, _check_int, _check_m, represented_set
+from .polygonal import (
+    PolygonalForm,
+    _check_int,
+    _check_m,
+    _refuse_assignment,
+    _refuse_deletion,
+    represented_set,
+)
 
 DEFAULT_CELL_CAP = 10**8
 
@@ -43,27 +49,39 @@ def shift_fraction(m: int) -> Fraction:
     return Fraction(m - 4, 2 * (m - 2))
 
 
-@dataclass(frozen=True)
 class ShiftedDiagonalLattice:
     """Diagonal gram coefficients plus a shift of -c/N in every coordinate.
 
     N is the conductor: the least positive integer with N * shift integral.
     c is coprime to N and reduced into [0, N); c = 0 forces N = 1 and means
-    no shift at all.
+    no shift at all.  Frozen and hashable; equal to a lattice with the same
+    gram, c and N.
     """
 
-    gram: tuple[int, ...]
-    c: int
-    N: int
+    __match_args__ = ("gram", "c", "N")
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gram", _check_gram(self.gram))
-        _check_int(self.c, "c")
-        _check_int(self.N, "N")
-        if self.N < 1 or not (0 <= self.c < self.N):
+    def __init__(self, gram: tuple[int, ...], c: int, N: int) -> None:
+        gram = _check_gram(gram)
+        _check_int(c, "c")
+        _check_int(N, "N")
+        if N < 1 or not (0 <= c < N):
             raise ValueError("need 0 <= c < N with N >= 1")
-        if math.gcd(self.c, self.N) != 1:
+        if math.gcd(c, N) != 1:
             raise ValueError("c must be coprime to N")
+        self.__dict__.update(gram=gram, c=c, N=N)
+
+    def __repr__(self) -> str:
+        return f"ShiftedDiagonalLattice(gram={self.gram!r}, c={self.c!r}, N={self.N!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gram, self.c, self.N) == (other.gram, other.c, other.N)
+
+    def __hash__(self) -> int:
+        return hash((self.gram, self.c, self.N))
 
     @property
     def n(self) -> int:

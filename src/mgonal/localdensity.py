@@ -36,13 +36,12 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalConsistencyError, ResourceCapError, WrongDispatchError
 from .lattice import ShiftedDiagonalLattice, _check_gram, _check_target, admissible
-from .polygonal import _check_int
+from .polygonal import _check_int, _refuse_assignment, _refuse_deletion
 
 DEFAULT_ORACLE_MODULUS_CAP = 1 << 18
 
@@ -124,37 +123,51 @@ def _kronecker2(x: int) -> int:
 # Jordan data and the Density result type
 
 
-@dataclass(frozen=True)
 class JordanDecomposition:
     """Diagonal p-adic shape: entries (r_i, b_i) with a_i = b_i * p^r_i,
     b_i a unit, sorted by r ascending (stable in the original order).
 
     Construction checks that p is prime, that each entry is a pair of ints
     with r >= 0 and b >= 1 prime to p, and that the entries are sorted by
-    r; anything else raises ValueError."""
+    r; anything else raises ValueError.  Frozen and hashable; equal to a
+    decomposition with the same p and entries."""
 
-    p: int
-    entries: tuple[tuple[int, int], ...]
+    __match_args__ = ("p", "entries")
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
 
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
-        if not isinstance(self.entries, tuple):
-            raise ValueError(f"Jordan entries must be a tuple, got {self.entries!r}")
-        for entry in self.entries:
+    def __init__(self, p: int, entries: tuple[tuple[int, int], ...]) -> None:
+        _check_prime(p)
+        if not isinstance(entries, tuple):
+            raise ValueError(f"Jordan entries must be a tuple, got {entries!r}")
+        for entry in entries:
             if not (
                 isinstance(entry, tuple)
                 and len(entry) == 2
                 and all(type(x) is int for x in entry)
                 and entry[0] >= 0
                 and entry[1] >= 1
-                and entry[1] % self.p
+                and entry[1] % p
             ):
                 raise ValueError(
                     f"Jordan entries must be pairs (r, b) of ints with r >= 0 and "
-                    f"b >= 1 prime to {self.p}, got {entry!r}"
+                    f"b >= 1 prime to {p}, got {entry!r}"
                 )
-        if any(r > s for r, s in zip(self.exponents, self.exponents[1:])):
-            raise ValueError(f"Jordan entries must be sorted by exponent, got {self.exponents}")
+        rs = tuple(r for r, _ in entries)
+        if any(r > s for r, s in zip(rs, rs[1:])):
+            raise ValueError(f"Jordan entries must be sorted by exponent, got {rs}")
+        self.__dict__.update(p=p, entries=entries)
+
+    def __repr__(self) -> str:
+        return f"JordanDecomposition(p={self.p!r}, entries={self.entries!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.entries) == (other.p, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.entries))
 
     @property
     def n(self) -> int:
@@ -186,18 +199,38 @@ def jordan_decompose(p: int, gram: tuple[int, ...] | list[int]) -> JordanDecompo
     return JordanDecomposition(p, tuple(entries))
 
 
-@dataclass(frozen=True)
 class Density:
     """A local density value plus how it was obtained.
 
     Oracle-method values carry the modulus exponent t used and whether the
-    count ratio was identical at t, t+1 and t+2.
+    count ratio was identical at t, t+1 and t+2.  Frozen and hashable;
+    equal to a density with equal fields.
     """
 
-    value: Fraction
-    method: str
-    t: int | None = None
-    stabilized: bool | None = None
+    __match_args__ = ("value", "method", "t", "stabilized")
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    def __init__(
+        self, value: Fraction, method: str, t: int | None = None, stabilized: bool | None = None
+    ) -> None:
+        self.__dict__.update(value=value, method=method, t=t, stabilized=stabilized)
+
+    def __repr__(self) -> str:
+        return (
+            f"Density(value={self.value!r}, method={self.method!r}, t={self.t!r}, "
+            f"stabilized={self.stabilized!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.method, self.t, self.stabilized) == (
+            other.value, other.method, other.t, other.stabilized
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.method, self.t, self.stabilized))
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +455,12 @@ def _two_adic_term(rs: tuple[int, ...], t: int) -> tuple[bool, int] | None:
 
 def stabilization_threshold(p: int, gram: tuple[int, ...], h: Fraction | int) -> int:
     """Modulus exponent past which the count ratio is provably constant:
-    2 * ord_p(2 * det) + ord_p(h) + 1."""
+    2 * ord_p(2 * det) + ord_p(h) + 1, for a positive p-adically integral h."""
     _check_prime(p)
     gram = _check_gram(gram)
-    h = _check_target(h)
-    if h <= 0:
-        raise ValueError("target must be positive")
+    _, h_ord = _integral_target(h, p)
     det_ord = (1 if p == 2 else 0) + sum(_valuation(a, p) for a in gram)
-    return 2 * det_ord + _frac_valuation(h, p) + 1
+    return 2 * det_ord + h_ord + 1
 
 
 def _square_class(v: int, p: int, t: int) -> tuple[int, int]:
@@ -665,21 +696,45 @@ def classify_universality_pattern(jd: JordanDecomposition) -> str:
     return "unclassified"
 
 
-@dataclass(frozen=True)
 class ConformanceRow:
     """One line of a conformance report: a computed value, the reference it
     was held against (a bound or an oracle value), and the verdict.
-    passed=None marks a skipped row."""
+    passed=None marks a skipped row.  Frozen and hashable; equal to a row
+    with equal fields."""
 
-    p: int
-    gram: tuple[int, ...]
-    N: int | None
-    c: int | None
-    h: Fraction | None
-    method: str
-    value: Fraction | None
-    reference: Fraction | None
-    passed: bool | None
+    __match_args__ = ("p", "gram", "N", "c", "h", "method", "value", "reference", "passed")
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    def __init__(
+        self, p: int, gram: tuple[int, ...], N: int | None, c: int | None, h: Fraction | None,
+        method: str, value: Fraction | None, reference: Fraction | None, passed: bool | None,
+    ) -> None:
+        self.__dict__.update(
+            p=p, gram=gram, N=N, c=c, h=h, method=method, value=value,
+            reference=reference, passed=passed,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ConformanceRow(p={self.p!r}, gram={self.gram!r}, N={self.N!r}, c={self.c!r}, "
+            f"h={self.h!r}, method={self.method!r}, value={self.value!r}, "
+            f"reference={self.reference!r}, passed={self.passed!r})"
+        )
+
+    def _fields(self) -> tuple:
+        return (
+            self.p, self.gram, self.N, self.c, self.h, self.method, self.value,
+            self.reference, self.passed,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def _tail_sum_two_adic(rs: tuple[int, ...], start: int, stop: int) -> Fraction:

@@ -23,7 +23,6 @@ escalator nodes cost a few set lookups instead of a pass over the bitset.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 from .errors import ResourceCapError
@@ -86,35 +85,68 @@ def _check_int(value: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__  # sets a field of a frozen class
+
+
+# The frozen classes of the package refuse every assignment and deletion as
+# a frozen dataclass does, importing dataclasses only to raise its error.
+def _refuse_assignment(self, name: str, value: object) -> None:
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class PolygonalForm:
     """A coefficient vector attached to a polygon size m.
 
     coeffs is kept sorted ascending; the empty vector is the zero-variable
     form (it represents only 0) and appears as the root of escalator trees.
+    Frozen and hashable; equal to a form with the same m and coeffs.
     """
 
-    m: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("m", "coeffs")
+    __match_args__ = ("m", "coeffs")
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
 
-    def __post_init__(self) -> None:
-        _check_m(self.m)
-        coeffs = self.coeffs
+    def __init__(self, m: int, coeffs: tuple[int, ...]) -> None:
+        _check_m(m)
         if not isinstance(coeffs, tuple):
             coeffs = tuple(coeffs)
-            object.__setattr__(self, "coeffs", coeffs)
         # one C-level pass for the usual case: exact ints, positive, sorted
-        if (
+        if not (
             set(map(type, coeffs)) == {int}
             and coeffs[0] >= 1
             and list(coeffs) == sorted(coeffs)
         ):
-            return
-        # otherwise the rules one by one: a bad coefficient before disorder
-        for a in coeffs:
-            _check_coeff(a)
-        if any(a > b for a, b in zip(coeffs, coeffs[1:])):
-            raise ValueError("coefficients must be sorted ascending")
+            # otherwise the rules one by one: a bad coefficient before disorder
+            for a in coeffs:
+                _check_coeff(a)
+            if any(a > b for a, b in zip(coeffs, coeffs[1:])):
+                raise ValueError("coefficients must be sorted ascending")
+        _set(self, "m", m)
+        _set(self, "coeffs", coeffs)
+
+    def __repr__(self) -> str:
+        return f"PolygonalForm(m={self.m!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.coeffs) == (other.m, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.coeffs))
+
+    def __reduce__(self):
+        # copies and unpickling rebuild through __init__, past the refusals
+        return PolygonalForm, (self.m, self.coeffs)
 
     @classmethod
     def of(cls, m: int, *coeffs: int) -> "PolygonalForm":
@@ -134,24 +166,9 @@ class PolygonalForm:
         if self.coeffs and coeff < self.coeffs[-1]:
             raise ValueError("coefficients must be sorted ascending")
         form = object.__new__(PolygonalForm)
-        object.__setattr__(form, "m", self.m)
-        object.__setattr__(form, "coeffs", self.coeffs + (coeff,))
+        _set(form, "m", self.m)
+        _set(form, "coeffs", self.coeffs + (coeff,))
         return form
-
-
-# On Python 3.11 the __setattr__ and __delattr__ that dataclass writes for a
-# frozen class with slots name the class that slots replaced, so a name that
-# is not a field raised TypeError; refuse every name instead.
-def _refuse_assignment(self, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-PolygonalForm.__setattr__ = _refuse_assignment
-PolygonalForm.__delattr__ = _refuse_deletion
 
 
 def _check_coeff(a: int) -> None:

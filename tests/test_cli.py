@@ -300,17 +300,17 @@ PUBLIC_NAMES = {  # the package's public API, listed here apart from its own tab
 @pytest.mark.parametrize(
     "argv, loaded, not_loaded",
     [
-        (None, ["mgonal"], []),  # and no mgonal.* submodule, checked below
+        (None, ["mgonal"], ["json"]),  # and no mgonal.* submodule, checked below
         (["gamma", "--m", "3", "--bound", "2000"], ["mgonal.escalator"],
-         ["mgonal.localdensity", "mgonal.lattice", "mgonal.constructions", "fractions"]),
-        (["tree", "--m", "3", "--bound", "100"], ["mgonal.escalator"],
+         ["mgonal.localdensity", "mgonal.lattice", "mgonal.constructions", "fractions", "json"]),
+        (["tree", "--m", "3", "--bound", "100"], ["mgonal.escalator", "json"],
          ["mgonal.localdensity", "mgonal.lattice", "mgonal.constructions", "fractions"]),
         (["guy", "--m", "10", "--ell", "5"], ["mgonal.constructions"],
-         ["mgonal.escalator", "mgonal.localdensity", "mgonal.lattice"]),
+         ["mgonal.escalator", "mgonal.localdensity", "mgonal.lattice", "json"]),
         (["density", "--gram", "1,1,1,1", "--p", "3", "--h", "8"], ["mgonal.localdensity"],
-         ["mgonal.escalator", "mgonal.constructions"]),
+         ["mgonal.escalator", "mgonal.constructions", "json"]),
         (["tau", "--p", "3", "--t", "2", "--N", "3", "--c", "1"], ["mgonal.localdensity"],
-         ["mgonal.escalator", "mgonal.constructions"]),
+         ["mgonal.escalator", "mgonal.constructions", "json"]),
     ],
     ids=["import", "gamma", "tree", "guy", "density", "tau"],
 )
@@ -331,6 +331,8 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loaded, not_loaded):
         assert not {m for m in modules if m.startswith("mgonal.")}
     assert set(loaded) <= modules
     assert not set(not_loaded) & modules
+    # dataclasses would pull in inspect, dis, tokenize and ast at every start
+    assert not {"dataclasses", "inspect"} & modules
 
 
 def test_every_export_is_the_object_its_module_defines(monkeypatch):

@@ -369,8 +369,19 @@ def test_stabilization_threshold_formula():
     assert stabilization_threshold(3, (1, 3, 9), 9) == 2 * 3 + 2 + 1
     assert stabilization_threshold(2, (1, 2), 1) == 2 * 2 + 0 + 1
     assert stabilization_threshold(5, (1, 1), Fraction(25, 2)) == 0 + 2 + 1
-    # a non-integral target is not an error
-    assert stabilization_threshold(3, (1, 1), Fraction(1, 3)) == 0 - 1 + 1
+    assert stabilization_threshold(3, (1, 1, 1, 1), Fraction(9, 2)) == 0 + 2 + 1
+
+
+@pytest.mark.parametrize("h", [Fraction(8, 3), Fraction(1, 27), Fraction(1, 3)])
+def test_stabilization_threshold_refuses_a_target_that_is_not_a_p_adic_integer(h):
+    # as the oracle it sizes does, with the same message
+    for call in (
+        lambda: stabilization_threshold(3, (1, 1, 1, 1), h),
+        lambda: siegel_count_density(3, (1, 1, 1, 1), h, 1),
+    ):
+        with pytest.raises(ValueError, match=r"^target must be a 3-adic integer$"):
+            call()
+    assert stabilization_threshold(2, (1, 1, 1, 1), Fraction(8, 3)) == 2 + 3 + 1
 
 
 def test_oracle_input_validation(monkeypatch):

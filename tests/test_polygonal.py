@@ -177,6 +177,9 @@ def test_forms_refuse_every_assignment_and_survive_copies():
             assert (g.m, g.coeffs) == (f.m, f.coeffs)
     assert extended == PolygonalForm(5, (1, 2, 4)) and hash(extended) == hash(PolygonalForm(5, (1, 2, 4)))
     assert form != extended and PolygonalForm(6, (1, 2)) != form
+    # a form built by extend prints, compares and hashes as its fields do
+    assert repr(extended) == "PolygonalForm(m=5, coeffs=(1, 2, 4))"
+    assert hash(extended) == hash((5, (1, 2, 4))) and extended != (5, (1, 2, 4))
 
 
 def test_extend_appends_and_keeps_sortedness():
