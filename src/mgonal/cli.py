@@ -211,10 +211,7 @@ def _cmd_guy(args, parser: argparse.ArgumentParser) -> int:
 
     if args.bound is None:
         args.bound = constructions.DEFAULT_GUY_BOUND
-    gf = constructions.guy_form(args.m, args.ell)
-    if args.bound < args.ell:
-        parser.error("bound must be at least ell")
-    report = constructions.verify_guy(gf, args.bound)
+    report = constructions.verify_guy(constructions.guy_form(args.m, args.ell), args.bound)
     if report.passed:
         _write(
             f"guy m={args.m} ell={args.ell} bound={args.bound}: "

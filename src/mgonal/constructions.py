@@ -21,66 +21,34 @@ from __future__ import annotations
 from .polygonal import (
     PolygonalForm,
     _check_int,
-    _refuse_assignment,
-    _refuse_deletion,
+    _Frozen,
     represented_set,
 )
 
 DEFAULT_GUY_BOUND = 5000
 
 
-class GuyForm:
+class GuyForm(_Frozen):
     """The single-gap form for (m, ell).  Frozen and hashable; equal to a
     GuyForm with equal fields."""
 
-    __match_args__ = ("m", "ell", "form")
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
+    __match_args__ = _fields = ("m", "ell", "form")
 
     def __init__(self, m: int, ell: int, form: PolygonalForm) -> None:
         self.__dict__.update(m=m, ell=ell, form=form)
 
-    def __repr__(self) -> str:
-        return f"GuyForm(m={self.m!r}, ell={self.ell!r}, form={self.form!r})"
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.ell, self.form) == (other.m, other.ell, other.form)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.ell, self.form))
-
-
-class GuyReport:
+class GuyReport(_Frozen):
     """The values a GuyForm misses in [0, bound], and whether they are
     exactly {ell}.  Frozen and hashable; equal to a report with equal
     fields."""
 
-    __match_args__ = ("m", "ell", "bound", "missing", "passed")
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
+    __match_args__ = _fields = ("m", "ell", "bound", "missing", "passed")
 
     def __init__(
         self, m: int, ell: int, bound: int, missing: tuple[int, ...], passed: bool
     ) -> None:
         self.__dict__.update(m=m, ell=ell, bound=bound, missing=missing, passed=passed)
-
-    def __repr__(self) -> str:
-        return (
-            f"GuyReport(m={self.m!r}, ell={self.ell!r}, bound={self.bound!r}, "
-            f"missing={self.missing!r}, passed={self.passed!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.ell, self.bound, self.missing, self.passed) == (
-            other.m, other.ell, other.bound, other.missing, other.passed
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.ell, self.bound, self.missing, self.passed))
 
 
 def guy_form(m: int, ell: int) -> GuyForm:
@@ -96,8 +64,11 @@ def guy_form(m: int, ell: int) -> GuyForm:
 
 
 def verify_guy(gf: GuyForm, bound: int = DEFAULT_GUY_BOUND) -> GuyReport:
-    """Check the represented set on [0, bound] misses exactly {ell}."""
+    """Check the represented set on [0, bound] misses exactly {ell}; a
+    bound below ell could not see the gap, and is refused."""
     _check_int(bound, "bound")
+    if bound < gf.ell:
+        raise ValueError("bound must be at least ell")
     rep = represented_set(gf.form, bound)
     missing = tuple(rep.missing())
     return GuyReport(gf.m, gf.ell, bound, missing, missing == (gf.ell,))

@@ -28,7 +28,6 @@ one breadth-first walk that keeps no more than those sets.
 from __future__ import annotations
 
 from collections import deque
-from reprlib import recursive_repr  # loaded by collections already
 
 from .errors import ResourceCapError, TreeParseError
 from .polygonal import (
@@ -36,6 +35,7 @@ from .polygonal import (
     PolygonalForm,
     _check_int,
     _extended_truants,
+    _Record,
     extend_set,
     represented_set,
 )
@@ -45,11 +45,11 @@ _UNIVERSAL = "universal"
 _NODE_KEYS = frozenset({"coeffs", "truant", "children"})
 
 
-class EscalatorNode:
+class EscalatorNode(_Record):
     """A form, its truant (None when it is B-universal) and its children.
     Mutable and unhashable; equal to a node with equal fields."""
 
-    __slots__ = ("form", "truant", "children")
+    __slots__ = _fields = ("form", "truant", "children")
     __match_args__ = ("form", "truant")
 
     def __init__(
@@ -63,50 +63,22 @@ class EscalatorNode:
         self.truant = truant
         self.children = [] if children is None else children
 
-    @recursive_repr()
-    def __repr__(self) -> str:
-        return (
-            f"EscalatorNode(form={self.form!r}, truant={self.truant!r}, "
-            f"children={self.children!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.form, self.truant, self.children) == (
-            other.form, other.truant, other.children
-        )
-
     @property
     def depth(self) -> int:
         return self.form.n
 
 
-class EscalatorTree:
+class EscalatorTree(_Record):
     """A tree's parameters and its nodes in breadth-first order, root first.
     Mutable and unhashable; equal to a tree with equal fields."""
 
-    __match_args__ = ("m", "bound", "max_depth", "nodes")
+    __match_args__ = _fields = ("m", "bound", "max_depth", "nodes")
 
     def __init__(self, m: int, bound: int, max_depth: int, nodes: list[EscalatorNode]) -> None:
         self.m = m
         self.bound = bound
         self.max_depth = max_depth
         self.nodes = nodes
-
-    @recursive_repr()
-    def __repr__(self) -> str:
-        return (
-            f"EscalatorTree(m={self.m!r}, bound={self.bound!r}, "
-            f"max_depth={self.max_depth!r}, nodes={self.nodes!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.bound, self.max_depth, self.nodes) == (
-            other.m, other.bound, other.max_depth, other.nodes
-        )
 
     @property
     def root(self) -> EscalatorNode:

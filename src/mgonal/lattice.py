@@ -26,8 +26,7 @@ from .polygonal import (
     PolygonalForm,
     _check_int,
     _check_m,
-    _refuse_assignment,
-    _refuse_deletion,
+    _Frozen,
     represented_set,
 )
 
@@ -49,7 +48,7 @@ def shift_fraction(m: int) -> Fraction:
     return Fraction(m - 4, 2 * (m - 2))
 
 
-class ShiftedDiagonalLattice:
+class ShiftedDiagonalLattice(_Frozen):
     """Diagonal gram coefficients plus a shift of -c/N in every coordinate.
 
     N is the conductor: the least positive integer with N * shift integral.
@@ -58,9 +57,7 @@ class ShiftedDiagonalLattice:
     gram, c and N.
     """
 
-    __match_args__ = ("gram", "c", "N")
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
+    __match_args__ = _fields = ("gram", "c", "N")
 
     def __init__(self, gram: tuple[int, ...], c: int, N: int) -> None:
         gram = _check_gram(gram)
@@ -71,17 +68,6 @@ class ShiftedDiagonalLattice:
         if math.gcd(c, N) != 1:
             raise ValueError("c must be coprime to N")
         self.__dict__.update(gram=gram, c=c, N=N)
-
-    def __repr__(self) -> str:
-        return f"ShiftedDiagonalLattice(gram={self.gram!r}, c={self.c!r}, N={self.N!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.gram, self.c, self.N) == (other.gram, other.c, other.N)
-
-    def __hash__(self) -> int:
-        return hash((self.gram, self.c, self.N))
 
     @property
     def n(self) -> int:

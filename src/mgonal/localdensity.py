@@ -41,7 +41,7 @@ from functools import lru_cache
 
 from .errors import InternalConsistencyError, ResourceCapError, WrongDispatchError
 from .lattice import ShiftedDiagonalLattice, _check_gram, _check_target, admissible
-from .polygonal import _check_int, _refuse_assignment, _refuse_deletion
+from .polygonal import _check_int, _Frozen
 
 DEFAULT_ORACLE_MODULUS_CAP = 1 << 18
 
@@ -123,7 +123,7 @@ def _kronecker2(x: int) -> int:
 # Jordan data and the Density result type
 
 
-class JordanDecomposition:
+class JordanDecomposition(_Frozen):
     """Diagonal p-adic shape: entries (r_i, b_i) with a_i = b_i * p^r_i,
     b_i a unit, sorted by r ascending (stable in the original order).
 
@@ -132,9 +132,7 @@ class JordanDecomposition:
     r; anything else raises ValueError.  Frozen and hashable; equal to a
     decomposition with the same p and entries."""
 
-    __match_args__ = ("p", "entries")
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
+    __match_args__ = _fields = ("p", "entries")
 
     def __init__(self, p: int, entries: tuple[tuple[int, int], ...]) -> None:
         _check_prime(p)
@@ -157,17 +155,6 @@ class JordanDecomposition:
         if any(r > s for r, s in zip(rs, rs[1:])):
             raise ValueError(f"Jordan entries must be sorted by exponent, got {rs}")
         self.__dict__.update(p=p, entries=entries)
-
-    def __repr__(self) -> str:
-        return f"JordanDecomposition(p={self.p!r}, entries={self.entries!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.entries) == (other.p, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.entries))
 
     @property
     def n(self) -> int:
@@ -199,7 +186,7 @@ def jordan_decompose(p: int, gram: tuple[int, ...] | list[int]) -> JordanDecompo
     return JordanDecomposition(p, tuple(entries))
 
 
-class Density:
+class Density(_Frozen):
     """A local density value plus how it was obtained.
 
     Oracle-method values carry the modulus exponent t used and whether the
@@ -207,30 +194,12 @@ class Density:
     equal to a density with equal fields.
     """
 
-    __match_args__ = ("value", "method", "t", "stabilized")
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
+    __match_args__ = _fields = ("value", "method", "t", "stabilized")
 
     def __init__(
         self, value: Fraction, method: str, t: int | None = None, stabilized: bool | None = None
     ) -> None:
         self.__dict__.update(value=value, method=method, t=t, stabilized=stabilized)
-
-    def __repr__(self) -> str:
-        return (
-            f"Density(value={self.value!r}, method={self.method!r}, t={self.t!r}, "
-            f"stabilized={self.stabilized!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.method, self.t, self.stabilized) == (
-            other.value, other.method, other.t, other.stabilized
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.method, self.t, self.stabilized))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +287,9 @@ def density_p_dividing_N(p: int, N: int) -> Density:
     """
     _check_prime(p)
     _check_int(N, "N")
-    if N < 1 or N % p != 0:
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if N % p != 0:
         raise WrongDispatchError(f"p={p} does not divide N={N}")
     e = _valuation(N, p)
     if p != 2:
@@ -458,6 +429,8 @@ def stabilization_threshold(p: int, gram: tuple[int, ...], h: Fraction | int) ->
     2 * ord_p(2 * det) + ord_p(h) + 1, for a positive p-adically integral h."""
     _check_prime(p)
     gram = _check_gram(gram)
+    if not gram:
+        raise ValueError("gram must be nonempty")
     _, h_ord = _integral_target(h, p)
     det_ord = (1 if p == 2 else 0) + sum(_valuation(a, p) for a in gram)
     return 2 * det_ord + h_ord + 1
@@ -585,6 +558,8 @@ def siegel_count_density(
     if t < 1:
         raise ValueError("t must be >= 1")
     _check_int(N, "N")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if N % p == 0:
         raise WrongDispatchError(
             f"counting oracle undefined at p={p} dividing the conductor N={N}"
@@ -696,15 +671,15 @@ def classify_universality_pattern(jd: JordanDecomposition) -> str:
     return "unclassified"
 
 
-class ConformanceRow:
+class ConformanceRow(_Frozen):
     """One line of a conformance report: a computed value, the reference it
     was held against (a bound or an oracle value), and the verdict.
     passed=None marks a skipped row.  Frozen and hashable; equal to a row
     with equal fields."""
 
-    __match_args__ = ("p", "gram", "N", "c", "h", "method", "value", "reference", "passed")
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
+    __match_args__ = _fields = (
+        "p", "gram", "N", "c", "h", "method", "value", "reference", "passed"
+    )
 
     def __init__(
         self, p: int, gram: tuple[int, ...], N: int | None, c: int | None, h: Fraction | None,
@@ -714,27 +689,6 @@ class ConformanceRow:
             p=p, gram=gram, N=N, c=c, h=h, method=method, value=value,
             reference=reference, passed=passed,
         )
-
-    def __repr__(self) -> str:
-        return (
-            f"ConformanceRow(p={self.p!r}, gram={self.gram!r}, N={self.N!r}, c={self.c!r}, "
-            f"h={self.h!r}, method={self.method!r}, value={self.value!r}, "
-            f"reference={self.reference!r}, passed={self.passed!r})"
-        )
-
-    def _fields(self) -> tuple:
-        return (
-            self.p, self.gram, self.N, self.c, self.h, self.method, self.value,
-            self.reference, self.passed,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
 
 def _tail_sum_two_adic(rs: tuple[int, ...], start: int, stop: int) -> Fraction:

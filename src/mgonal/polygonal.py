@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+from reprlib import recursive_repr  # loaded by collections already
 
 from .errors import ResourceCapError
 
@@ -88,21 +89,56 @@ def _check_int(value: int, name: str) -> None:
 _set = object.__setattr__  # sets a field of a frozen class
 
 
-# The frozen classes of the package refuse every assignment and deletion as
-# a frozen dataclass does, importing dataclasses only to raise its error.
-def _refuse_assignment(self, name: str, value: object) -> None:
-    from dataclasses import FrozenInstanceError
+class _Record:
+    """Repr and equality read from the class attribute _fields, the names
+    of the record's fields in order, as a dataclass's are: the repr shows
+    each field by name, and a record equals only a record of its own class
+    with equal fields.  Unhashable, as a mutable record must be."""
 
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
 
 
-def _refuse_deletion(self, name: str) -> None:
-    from dataclasses import FrozenInstanceError
+class _Frozen(_Record):
+    """A record that hashes as its field tuple and refuses every assignment
+    and deletion as a frozen dataclass does, importing dataclasses only to
+    raise its error.  Copies and unpickling rebuild it through __init__,
+    past the refusals."""
 
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-class PolygonalForm:
+class PolygonalForm(_Frozen):
     """A coefficient vector attached to a polygon size m.
 
     coeffs is kept sorted ascending; the empty vector is the zero-variable
@@ -110,10 +146,7 @@ class PolygonalForm:
     Frozen and hashable; equal to a form with the same m and coeffs.
     """
 
-    __slots__ = ("m", "coeffs")
-    __match_args__ = ("m", "coeffs")
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
+    __slots__ = __match_args__ = _fields = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs: tuple[int, ...]) -> None:
         _check_m(m)
@@ -132,21 +165,6 @@ class PolygonalForm:
                 raise ValueError("coefficients must be sorted ascending")
         _set(self, "m", m)
         _set(self, "coeffs", coeffs)
-
-    def __repr__(self) -> str:
-        return f"PolygonalForm(m={self.m!r}, coeffs={self.coeffs!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.coeffs) == (other.m, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.coeffs))
-
-    def __reduce__(self):
-        # copies and unpickling rebuild through __init__, past the refusals
-        return PolygonalForm, (self.m, self.coeffs)
 
     @classmethod
     def of(cls, m: int, *coeffs: int) -> "PolygonalForm":

@@ -43,6 +43,16 @@ def test_verify_guy_reports_failure_for_a_mismatched_claim():
     assert report.missing == (5,)
 
 
+def test_verify_guy_refuses_a_bound_below_the_gap():
+    # a bound below ell cannot see the gap; ell itself can
+    with pytest.raises(ValueError, match=r"^bound must be at least ell$"):
+        verify_guy(guy_form(10, 5), 4)
+    with pytest.raises(ValueError, match=r"^bound must be at least ell$"):
+        verify_guy_grid(6, 12, 4)
+    report = verify_guy(guy_form(10, 5), 5)
+    assert report.passed and report.missing == (5,)
+
+
 def test_lower_bound_witness_small_grid():
     for m in range(6, 13):
         for ell in range(1, m - 3):

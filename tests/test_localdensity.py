@@ -194,6 +194,10 @@ def test_closed_form_density_requires_p_dividing_N():
         density_p_dividing_N(3, 5)
     with pytest.raises(ValueError):
         density_p_dividing_N(4, 8)
+    # a conductor below 1 is refused as such, not as a prime it fails to divide
+    for N in (0, -3):
+        with pytest.raises(ValueError, match=r"^N must be >= 1$"):
+            density_p_dividing_N(3, N)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +403,13 @@ def test_oracle_input_validation(monkeypatch):
         stabilization_threshold(4, (1, 1), 1)
     with pytest.raises(ValueError, match="target must be a 3-adic integer"):
         siegel_count_density(3, (1, 1), Fraction(1, 3), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gram must be nonempty$"):
         siegel_count_density(3, (), 1, 1)
+    with pytest.raises(ValueError, match=r"^gram must be nonempty$"):
+        stabilization_threshold(3, (), 1)
+    for N in (0, -1):
+        with pytest.raises(ValueError, match=r"^N must be >= 1$"):
+            siegel_count_density(3, (1, 1, 1, 1), 1, 2, N=N)
     for gram in ((0, 1, 1, 1), (-1, 1, 1, 1), (1.5, 1, 1, 1), (True, 1, 1, 1)):
         for call in (
             lambda: siegel_count_density(3, gram, 1, 1),

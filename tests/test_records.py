@@ -1,7 +1,8 @@
 """The package's nine record classes behave as the frozen (or, for escalator
 nodes and trees, mutable) dataclasses they once were: construction, repr,
 equality, hashing, refused assignment, copies, pickling and pattern
-matching.  The reprs are literals, so a hand-written __repr__ cannot drift."""
+matching.  The reprs are literals, so the shared __repr__ cannot drift; a
+subclass that adds nothing prints, compares and copies as its own class."""
 
 import copy
 import dataclasses
@@ -76,6 +77,10 @@ MATCH_ARGS = {
 }
 
 
+def _sub(cls):
+    return type("Sub", (cls,), {})
+
+
 def _fields(record):
     names = MATCH_ARGS[type(record)] + (("children",) if type(record) is EscalatorNode else ())
     return tuple(getattr(record, name) for name in names)
@@ -99,9 +104,10 @@ def test_equality_is_by_class_and_fields(cls, fields, text):
     for other in (values, list(values), None, object(), text):
         assert record != other and other != record
         assert record.__eq__(other) is NotImplemented
-    # a subclass with the same fields is another class
-    sub = type("Sub", (cls,), {})
+    # a subclass with the same fields is another class, and prints its name
+    sub = _sub(cls)
     assert record.__eq__(sub(*fields())) is NotImplemented and record != sub(*fields())
+    assert repr(sub(*fields())) == "Sub" + text[len(cls.__name__):]
 
 
 @pytest.mark.parametrize(
@@ -196,6 +202,10 @@ def test_copies_and_pickles_round_trip(cls, fields, text):
                for proto in range(first, pickle.HIGHEST_PROTOCOL + 1)]
     for twin in copies:
         assert type(twin) is cls and twin == record and repr(twin) == text
+    # a subclass's copies are of the subclass
+    sub = _sub(cls)(*fields())
+    for twin in (copy.copy(sub), copy.deepcopy(sub)):
+        assert type(twin) is type(sub) and twin == sub
 
 
 def test_deep_copies_of_a_tree_keep_its_shared_nodes_shared():
