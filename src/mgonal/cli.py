@@ -98,23 +98,30 @@ def _write(text: str, out_path: str | None = None) -> None:
     A reader that closes stdout early (`mgonal tree ... | head`) ends the
     output but not the command: stdout then points at os.devnull, so later
     writes and the flush at exit succeed, and the exit code is the
-    command's own.  An --out path that cannot be opened is a usage error.
+    command's own.  An --out path that cannot be opened or written, and a
+    stdout that fails otherwise (a full disk), are usage errors; stdout
+    then points at os.devnull too, so the flush at exit cannot fail again.
     """
     if out_path is not None:
         try:
             fh = open(out_path, "w")
         except OSError as exc:
             raise ValueError(f"cannot open --out {out_path}: {exc.strerror}") from exc
-        with fh:
-            fh.write(text)
+        try:
+            with fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror}") from exc
         return
     try:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 def _cmd_tree(args, parser: argparse.ArgumentParser) -> int:

@@ -51,14 +51,17 @@ class GuyReport(_Frozen):
         self.__dict__.update(m=m, ell=ell, bound=bound, missing=missing, passed=passed)
 
 
-def guy_form(m: int, ell: int) -> GuyForm:
-    """The almost-universal form with its designed gap at ell."""
-    _check_int(m, "m")
+def _check_gap(m: int, ell: int) -> None:
+    """Refuse an (m, ell) outside the grid 1 <= ell <= m - 4, m >= 6."""
+    _check_int(m, "m", 6)
     _check_int(ell, "ell")
-    if m < 6:
-        raise ValueError("construction needs m >= 6")
     if not 1 <= ell <= m - 4:
         raise ValueError(f"need 1 <= ell <= m - 4, got ell={ell} for m={m}")
+
+
+def guy_form(m: int, ell: int) -> GuyForm:
+    """The almost-universal form with its designed gap at ell."""
+    _check_gap(m, ell)
     coeffs = sorted([1] * (ell - 1) + [ell + 1] * m + [2 * ell + 1])
     return GuyForm(m, ell, PolygonalForm(m, tuple(coeffs)))
 
@@ -77,12 +80,7 @@ def verify_guy(gf: GuyForm, bound: int = DEFAULT_GUY_BOUND) -> GuyReport:
 def lower_bound_witness(m: int, ell: int) -> bool:
     """True iff ell-1 unit coefficients fail to represent ell (they always
     do for ell <= m - 4: available sums below m - 3 top out at ell - 1)."""
-    _check_int(m, "m")
-    _check_int(ell, "ell")
-    if m < 6:
-        raise ValueError("witnesses are stated for m >= 6")
-    if not 1 <= ell <= m - 4:
-        raise ValueError(f"need 1 <= ell <= m - 4, got ell={ell} for m={m}")
+    _check_gap(m, ell)
     form = PolygonalForm(m, (1,) * (ell - 1))
     return ell not in represented_set(form, ell)
 

@@ -117,15 +117,9 @@ def _walk(m: int, max_depth: int, bound: int, node_cap: int):
     """build_tree's nodes in its order, as (parent position, depth,
     coefficient, truant), the root's (None, 0, None, 1), after checking the
     arguments of both readers.  The queue holds only expanding nodes' sets."""
-    _check_int(max_depth, "max_depth")
-    _check_int(bound, "bound")
-    _check_int(node_cap, "node_cap")
-    if max_depth < 0:
-        raise ValueError("max_depth must be nonnegative")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if node_cap < 1:
-        raise ValueError("node_cap must be >= 1")
+    _check_int(max_depth, "max_depth", 0)
+    _check_int(bound, "bound", 1)
+    _check_int(node_cap, "node_cap", 1)
     rep = represented_set(PolygonalForm(m, ()), bound)
     yield None, 0, None, rep.truant()
     queue = deque([(0, 0, 1, rep.truant(), rep)] if max_depth else [])
@@ -239,7 +233,7 @@ def deserialize_tree(text: str) -> EscalatorTree:
 
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also too-long integers, deep nesting
+    except (TypeError, ValueError, RecursionError) as exc:  # non-text, long ints, deep nesting
         raise _parse_error("document", f"invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise _parse_error("document", "expected a JSON object")

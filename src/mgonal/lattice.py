@@ -35,7 +35,10 @@ DEFAULT_CELL_CAP = 10**8
 
 def _check_gram(gram) -> tuple[int, ...]:
     """gram as a tuple, once each entry is a positive integer (not a bool)."""
-    gram = tuple(gram)
+    try:
+        gram = tuple(gram)
+    except TypeError:
+        raise ValueError(f"gram must be iterable, got {gram!r}") from None
     for a in gram:
         if not isinstance(a, int) or isinstance(a, bool) or a < 1:
             raise ValueError(f"gram entries must be positive integers, got {a!r}")
@@ -97,9 +100,7 @@ def h_of_ell(form: PolygonalForm, ell: int) -> Fraction:
 
     Strictly increasing in ell; h(0) equals the squared-shift constant.
     """
-    _check_int(ell, "ell")
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
+    _check_int(ell, "ell", 0)
     s = shift_fraction(form.m)
     return Fraction(2 * ell, form.m - 2) + sum(form.coeffs) * s**2
 

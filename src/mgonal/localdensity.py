@@ -228,13 +228,9 @@ def tau_gauss_sum(p: int, t: int, alpha: int, N: int, c: int) -> complex:
     output; every exact code path avoids this function.
     """
     _check_prime(p)
-    _check_int(t, "t")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_int(t, "t", 1)
     _check_int(alpha, "alpha")
-    _check_int(N, "N")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_int(N, "N", 1)
     _check_int(c, "c")
     if alpha % p == 0:
         raise ValueError("alpha must be a p-adic unit")
@@ -258,12 +254,8 @@ def tau_lemma_value(p: int, t: int, N: int) -> int | None:
     Returns None when p does not divide N (no closed rule applies).
     """
     _check_prime(p)
-    _check_int(t, "t")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    _check_int(N, "N")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_int(t, "t", 1)
+    _check_int(N, "N", 1)
     if N % p != 0:
         return None
     if p != 2:
@@ -286,9 +278,7 @@ def density_p_dividing_N(p: int, N: int) -> Density:
     depends only on (p, N).
     """
     _check_prime(p)
-    _check_int(N, "N")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_int(N, "N", 1)
     if N % p != 0:
         raise WrongDispatchError(f"p={p} does not divide N={N}")
     e = _valuation(N, p)
@@ -554,12 +544,8 @@ def siegel_count_density(
     DEFAULT_ORACLE_MODULUS_CAP, which is checked before any table is built.
     """
     _check_prime(p)
-    _check_int(t, "t")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    _check_int(N, "N")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_int(t, "t", 1)
+    _check_int(N, "N", 1)
     if N % p == 0:
         raise WrongDispatchError(
             f"counting oracle undefined at p={p} dividing the conductor N={N}"

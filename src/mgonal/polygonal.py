@@ -57,9 +57,7 @@ def polygonal_values_up_to(m: int, bound: int) -> list[int]:
     each direction, so each walk stops at the first overshoot.
     """
     _check_m(m)
-    _check_int(bound, "bound")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    _check_int(bound, "bound", 0)
     return list(_values_up_to(m, bound))
 
 
@@ -81,9 +79,13 @@ def _check_m(m: int) -> None:
         raise ValueError(f"number of sides m must be an integer >= 3, got {m!r}")
 
 
-def _check_int(value: int, name: str) -> None:
+def _check_int(value: int, name: str, minimum: int | None = None) -> None:
+    """Refuse a value that is not an int, or is a bool, or is below minimum."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        floor = "nonnegative" if minimum == 0 else f">= {minimum}"
+        raise ValueError(f"{name} must be {floor}")
 
 
 _set = object.__setattr__  # sets a field of a frozen class
@@ -151,7 +153,10 @@ class PolygonalForm(_Frozen):
     def __init__(self, m: int, coeffs: tuple[int, ...]) -> None:
         _check_m(m)
         if not isinstance(coeffs, tuple):
-            coeffs = tuple(coeffs)
+            try:
+                coeffs = tuple(coeffs)
+            except TypeError:
+                raise ValueError(f"coefficients must be iterable, got {coeffs!r}") from None
         # one C-level pass for the usual case: exact ints, positive, sorted
         if not (
             set(map(type, coeffs)) == {int}
@@ -381,9 +386,7 @@ def _extended_truants(
 def represented_set(form: PolygonalForm, bound: int) -> RepresentationSet:
     """All integers in [0, bound] represented by the form; the bitset's
     bound + 1 bits may not exceed DEFAULT_BIT_CAP."""
-    _check_int(bound, "bound")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    _check_int(bound, "bound", 0)
     if bound + 1 > DEFAULT_BIT_CAP:
         raise ResourceCapError(
             f"bitset of {bound + 1} bits exceeds cap of {DEFAULT_BIT_CAP}"
@@ -408,7 +411,5 @@ def truant(form: PolygonalForm, bound: int) -> int | None:
     Returns None when the form represents all of [1, bound] ("B-universal";
     an empirical statement about [1, bound] only).
     """
-    _check_int(bound, "bound")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    _check_int(bound, "bound", 1)
     return represented_set(form, bound).truant()

@@ -67,6 +67,17 @@ def test_a_node_cap_below_one_is_a_usage_error(command, cap, capsys):
     assert out == "" and "node_cap must be >= 1" in err
 
 
+def run_cli(argv, stdout):
+    """The CLI in a fresh interpreter whose stdout is block-buffered, as in a
+    shell: under PYTHONUNBUFFERED nothing is left to fail at the exit flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(mgonal.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "mgonal.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "argv", [["tree", "--m", "5"], ["guy", "--m", "10", "--ell", "5"]], ids=["tree", "guy"]
 )
@@ -74,15 +85,8 @@ def test_a_closed_stdout_ends_the_output_quietly(argv):
     # stdout is a pipe whose read end is already closed, as after `| head`
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(mgonal.__file__).resolve().parents[1])
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "mgonal.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=120,
-        )
+        proc = run_cli(argv, write_end)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr.decode()) == (0, "")
@@ -98,6 +102,26 @@ def test_an_unopenable_out_path_is_a_usage_error(argv, tmp_path, capsys):
     expect_usage_error([*argv, "--out", str(path)])
     assert f"cannot open --out {path}: No such file or directory" in capsys.readouterr().err
     assert not path.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, stdout, message",
+    [
+        (["tree", "--m", "3", "--bound", "100", "--out", "/dev/full"], os.devnull,
+         "cannot write --out /dev/full: No space left on device"),
+        (["gamma", "--m", "3", "--bound", "100"], "/dev/full",
+         "cannot write stdout: No space left on device"),
+    ],
+    ids=["out", "stdout"],
+)
+def test_a_failed_write_is_a_usage_error(argv, stdout, message):
+    # a full disk ends the command with the usage line and one error line
+    with open(stdout, "w") as fh:
+        proc = run_cli(argv, fh)
+    err = proc.stderr.decode().splitlines()
+    assert (proc.returncode, err[1:]) == (USAGE_EXIT, [f"mgonal: error: {message}"])
+    assert err[0].startswith("usage: mgonal")
 
 
 def test_gamma_empirical_line(capsys):

@@ -20,7 +20,7 @@ def test_guy_form_coefficient_pattern():
 
 
 def test_guy_form_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m must be >= 6$"):
         guy_form(5, 1)
     with pytest.raises(ValueError):
         guy_form(10, 0)
@@ -57,7 +57,7 @@ def test_lower_bound_witness_small_grid():
     for m in range(6, 13):
         for ell in range(1, m - 3):
             assert lower_bound_witness(m, ell)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m must be >= 6$"):
         lower_bound_witness(5, 1)
     with pytest.raises(ValueError):
         lower_bound_witness(10, 7)

@@ -137,7 +137,7 @@ def test_a_tree_stopped_by_the_node_cap_is_incomplete():
 def test_build_arguments_are_validated(build):
     with pytest.raises(TypeError):
         build(3, max_depth=2, bound=100, on_cap="truncate")  # the option is gone
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^max_depth must be nonnegative$"):
         build(3, max_depth=-1, bound=100)
     with pytest.raises(ValueError, match="bound must be >= 1"):
         build(3, max_depth=2, bound=0)
@@ -414,8 +414,9 @@ def expect_parse_error(doc, match):
 
 
 def test_parse_rejects_invalid_json():
-    # also JSON that the json module cannot decode: too deep, too long an integer
-    for text in ("{nope", "[" * 100_000, '{"m": ' + "9" * 5000 + "}"):
+    # also JSON that the json module cannot decode: too deep, too long an
+    # integer, and a document that is not text at all
+    for text in ("{nope", "[" * 100_000, '{"m": ' + "9" * 5000 + "}", None, 123):
         with pytest.raises(TreeParseError, match="invalid JSON"):
             deserialize_tree(text)
 

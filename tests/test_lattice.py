@@ -60,6 +60,8 @@ def test_lattice_validation():
     for gram in ((True, 1), (1.5, 1), (-1, 1)):
         with pytest.raises(ValueError, match="gram entries must be positive integers, got"):
             ShiftedDiagonalLattice(gram, 0, 1)
+    with pytest.raises(ValueError, match=r"^gram must be iterable, got 5$"):
+        ShiftedDiagonalLattice(5, 0, 1)
 
 
 def test_h_of_ell_frozen_values():
@@ -69,7 +71,7 @@ def test_h_of_ell_frozen_values():
     square_form = PolygonalForm.of(4, 1, 2, 3)
     for ell in range(10):
         assert h_of_ell(square_form, ell) == ell
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ell must be nonnegative$"):
         h_of_ell(form, -1)
 
 

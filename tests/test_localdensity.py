@@ -418,6 +418,13 @@ def test_oracle_input_validation(monkeypatch):
         ):
             with pytest.raises(ValueError, match="gram entries must be positive integers"):
                 call()
+    for call in (
+        lambda: siegel_count_density(3, 5, 8, 1),
+        lambda: stabilization_threshold(3, 5, 8),
+        lambda: jordan_decompose(3, 5),
+    ):
+        with pytest.raises(ValueError, match=r"^gram must be iterable, got 5$"):
+            call()
     with pytest.raises(ResourceCapError):
         siegel_count_density(2, (1, 1), 1, 30)
     # the cap bounds the largest modulus used, p^(t+2)

@@ -102,8 +102,17 @@ def test_values_up_to_starts_zero_one_then_jumps():
 
 
 def test_values_up_to_rejects_negative_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bound must be nonnegative$"):
         polygonal_values_up_to(5, -1)
+
+
+def test_represented_set_and_truant_refuse_bounds_below_their_floor():
+    form = PolygonalForm(5, (1, 2))
+    with pytest.raises(ValueError, match=r"^bound must be nonnegative$"):
+        represented_set(form, -1)
+    with pytest.raises(ValueError, match=r"^bound must be >= 1$"):
+        truant(form, 0)
+    assert represented_set(form, 0).missing() == [] and truant(form, 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +134,8 @@ def test_form_rejects_bad_coefficients():
         PolygonalForm(2, (1,))
     with pytest.raises(ValueError):
         PolygonalForm(3, (True,))
+    with pytest.raises(ValueError, match=r"^coefficients must be iterable, got 5$"):
+        PolygonalForm(3, 5)
 
 
 def test_a_bad_coefficient_is_reported_before_disorder():
